@@ -98,6 +98,15 @@ def _parse_tols(pairs) -> dict:
     return tols
 
 
+def _check_counts(args):
+    """Sizes the suites draw up to, and the dilation order, must be positive."""
+    for name in ("max_atoms", "max_dim", "order"):
+        value = getattr(args, name, 1)
+        if value < 1:
+            flag = "--" + name.replace("_", "-")
+            raise InputError(f"{flag} must be >= 1, got {value}")
+
+
 def _tol(args, name: str) -> float:
     return args.tols.get(name, _TOL_DEFAULTS[name])
 
@@ -477,6 +486,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.tols = _parse_tols(args.tol)
+        _check_counts(args)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

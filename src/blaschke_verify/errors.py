@@ -16,6 +16,10 @@ class InputError(BlaschkeVerifyError):
     """A caller-supplied object violates a documented precondition."""
 
 
+class NonFiniteValue(InputError):
+    """A point, weight or coefficient is NaN or infinite."""
+
+
 class PointNotOnCircle(InputError):
     """Atom point further than the repair band from the unit circle."""
 

@@ -11,12 +11,13 @@ parts are out of scope.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NonAtomicMeasure, PointNotOnCircle
+from .errors import InputError, NonAtomicMeasure, NonFiniteValue, PointNotOnCircle
 
 # points nearer the circle than this are snapped onto it, further are rejected
 POINT_REPAIR_BAND = 1e-9
@@ -24,19 +25,25 @@ POINT_REPAIR_BAND = 1e-9
 ATOM_MERGE_TOL = 1e-12
 
 
+def _finite(z: complex, what: str) -> complex:
+    if not cmath.isfinite(z):
+        raise NonFiniteValue(f"{what} {z!r} is not finite")
+    return z
+
+
 @dataclasses.dataclass(frozen=True)
 class UnitPoint:
     """A point on the unit circle.
 
     Inputs with | |value| - 1 | <= 1e-9 are renormalized onto the circle,
-    anything further off is rejected; after construction the modulus is 1 to
-    within 1e-12 (in practice to machine precision).
+    anything further off or not finite is rejected; after construction the
+    modulus is 1 to within 1e-12 (in practice to machine precision).
     """
 
     value: complex
 
     def __post_init__(self):
-        v = complex(self.value)
+        v = _finite(complex(self.value), "point")
         r = abs(v)
         if abs(r - 1.0) > POINT_REPAIR_BAND:
             raise PointNotOnCircle(f"|{v!r}| = {r!r} is not within 1e-9 of 1")
@@ -53,7 +60,8 @@ class AtomicMeasure:
     Construction canonicalizes: points are snapped to the circle, atoms closer
     than 1e-12 are merged by weight addition, weights that are exactly 0 are
     dropped, and atoms are sorted by (Re, Im) of the point so that equal
-    measures compare equal.
+    measures compare equal.  Non-finite weights or Lebesgue coefficients are
+    rejected.
     """
 
     atoms: tuple = ()
@@ -64,7 +72,7 @@ class AtomicMeasure:
         weights: list[complex] = []
         for point, weight in self.atoms:
             p = point.value if isinstance(point, UnitPoint) else UnitPoint(point).value
-            w = complex(weight)
+            w = _finite(complex(weight), "weight")
             for k, rep in enumerate(reps):
                 if abs(p - rep) <= ATOM_MERGE_TOL:
                     weights[k] += w
@@ -77,7 +85,9 @@ class AtomicMeasure:
         ]
         pairs.sort(key=lambda pw: (pw[0].value.real, pw[0].value.imag))
         object.__setattr__(self, "atoms", tuple(pairs))
-        object.__setattr__(self, "lebesgue", complex(self.lebesgue))
+        object.__setattr__(
+            self, "lebesgue", _finite(complex(self.lebesgue), "lebesgue coefficient")
+        )
 
     @cached_property
     def points(self) -> np.ndarray:
@@ -197,9 +207,10 @@ def _complex_from_json(obj) -> complex:
 def _point_from_json(obj) -> UnitPoint:
     if isinstance(obj, dict) and "angle_deg" in obj:
         try:
-            theta = np.deg2rad(float(obj["angle_deg"]))
+            deg = float(obj["angle_deg"])
         except (TypeError, ValueError) as exc:
             raise InputError(f"non-numeric angle_deg in {obj!r}") from exc
+        theta = np.deg2rad(_finite(deg, "angle_deg"))
         return UnitPoint(complex(np.cos(theta), np.sin(theta)))
     return UnitPoint(_complex_from_json(obj))
 

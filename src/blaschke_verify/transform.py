@@ -8,7 +8,7 @@ Two function modes cover all uses downstream:
   zero bounds are controlled by sigma
 
 Since the measures are finite atomic (plus a constant), h is rational; the
-exact numerator/denominator form doubles as a zero oracle.
+exact numerator/denominator form gives a third zero route.
 """
 
 from __future__ import annotations
@@ -141,10 +141,13 @@ class RationalForm:
 def rational_form(f: CauchyFunction) -> RationalForm:
     """Clear denominators to expose h as an exact ratio of polynomials.
 
-    The numerator's roots inside the disk are exactly the zeros of h with
-    matching multiplicity, which makes this the reference oracle for the other
-    zero finders.  Trailing coefficients below 1e-12 of the largest are
-    trimmed so that cancellation dust cannot masquerade as a leading term.
+    In exact arithmetic the numerator's roots inside the disk are the zeros
+    of h with matching multiplicity, which makes this one of the three
+    independent zero routes.  It is not a reference for the other two: the
+    monomial coefficients are ill-conditioned, and above about 24 atoms its
+    roots are the least accurate of the three.  Trailing coefficients below
+    1e-12 of the largest are trimmed so that cancellation dust cannot
+    masquerade as a leading term.
     """
     mu = f.source
     pts = mu.points

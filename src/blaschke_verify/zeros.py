@@ -161,6 +161,14 @@ _GUARD_REL = 1e-12
 _POLE_CLEARANCE_REL = 2e-4
 
 
+def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Merge the values of the previous rule (even nodes) with the new odd ones."""
+    out = np.empty(old.size + new.size, dtype=complex)
+    out[0::2] = old
+    out[1::2] = new
+    return out
+
+
 def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     """Zero count and first two zero moments over |w - center| = rho.
 
@@ -175,7 +183,16 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     integer (NonIntegerWinding beyond 65536 nodes), then twice more so the
     moments inherit the geometric tail; the change over the last doubling is
     returned as a moment error estimate.  Raises _NearZeroContour when |h|
-    dips below 1e-12 of its contour maximum or the contour hugs a pole.
+    dips below 1e-12 of its maximum over the nodes seen so far or the
+    contour hugs a pole.
+
+    The rules nest: the nodes of one level are the even nodes of the next,
+    so each doubling evaluates the kernel only at the new odd angles and
+    reuses everything else.  The integrand g is nevertheless formed after
+    interleaving, on the full-length arrays: numpy's complex multiply can
+    round the same inputs differently depending on array length and
+    alignment, and forming g on the odd subset alone would move the last
+    bits of the moments away from those of the unnested rule.
     """
     poles = f.source.points
     if poles.size:
@@ -187,17 +204,30 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     settled_at = None
     prev = None
     err = math.inf
+    e = w = logd = None
+    amax, amin = 0.0, math.inf
     while True:
-        theta = 2.0 * np.pi * np.arange(n) / n
-        e = np.exp(1j * theta)
-        w = center + rho * e
-        h, hp = _h_and_deriv_continuation(f, w)
-        amax = float(np.max(np.abs(h)))
-        if amax == 0.0 or float(np.min(np.abs(h))) <= _GUARD_REL * amax:
+        j = np.arange(n) if e is None else np.arange(1, n, 2)
+        theta = 2.0 * np.pi * j / n
+        e_new = np.exp(1j * theta)
+        w_new = center + rho * e_new
+        h, hp = _h_and_deriv_continuation(f, w_new)
+        ah = np.abs(h)
+        amax = max(amax, float(np.max(ah)))
+        amin = min(amin, float(np.min(ah)))
+        if amax == 0.0 or amin <= _GUARD_REL * amax:
             raise _NearZeroContour
-        logd = hp / h
+        logd_new = hp / h
         if poles.size:
-            logd = logd + np.sum(1.0 / (w[:, None] - poles[None, :]), axis=1)
+            logd_new = logd_new + np.sum(
+                1.0 / (w_new[:, None] - poles[None, :]), axis=1
+            )
+        if e is None:
+            e, w, logd = e_new, w_new, logd_new
+        else:
+            e = _interleave(e, e_new)
+            w = _interleave(w, w_new)
+            logd = _interleave(logd, logd_new)
         g = logd * (rho * e)
         W = complex(np.mean(g))
         M1 = complex(np.mean(w * g))
@@ -299,8 +329,10 @@ def zeros_via_argument_principle(
     zero-centroid spread is below the moment noise floor (or its radius hits
     1e-8).  Covering disks overlap, so duplicate reports within 1e-7 are
     merged; the surviving multiplicities must add up to the certified total.
-    Search is capped below the boundary (default 0.999): the contour routes
-    degrade near the circle and the numerator-root oracle covers the rim.
+    Search is capped below the boundary (default 0.999): the contour route
+    degrades near the circle, so zeros on the rim are left to the other two
+    routes.  Neither is a reference for this one; the numerator roots in
+    particular lose accuracy above about 24 atoms.
     """
     if not 0.0 < radius <= 0.999:
         raise ValueError("radius must lie in (0, 0.999]")

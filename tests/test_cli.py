@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: schemas, exit codes, determinism."""
 
 import json
+import math
+import warnings
 
 import pytest
 
 from blaschke_verify.cli import main
+
+from conftest import DATA
 
 SHARP = "tests/data/sharp_measure.json"
 
@@ -155,6 +159,46 @@ def test_exit_two_on_bad_point(capsys, tmp_path):
     code, _, err = run(capsys, ["verify-measure", str(p)])
     assert code == 2
     assert "input error" in err
+
+
+@pytest.mark.parametrize(
+    "obj, named",
+    [
+        ({"atoms": [{"point": {"re": math.nan}, "weight": {"re": 1.0}}]}, "point (nan"),
+        ({"atoms": [{"point": {"re": 1.0}, "weight": {"re": math.inf}}]}, "weight (inf"),
+        (
+            {"atoms": [{"point": {"re": 1.0}, "weight": {"re": 1.0}}],
+             "lebesgue": {"re": math.inf}},
+            "lebesgue coefficient (inf",
+        ),
+    ],
+)
+def test_exit_two_on_non_finite_measure(capsys, tmp_path, obj, named):
+    p = tmp_path / "nonfinite.json"
+    p.write_text(json.dumps(obj))  # writes NaN / Infinity, which json.load accepts
+    # pytest captures warnings before they reach stderr, so record them here
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, ["verify-measure", str(p)])
+    assert code == 2
+    assert "input error" in err and named in err
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["dilate", str(DATA / "dilate_system.json"), "--order", "0"], "--order"),
+        (["random-suite", "--which", "thm2", "--max-atoms", "0"], "--max-atoms"),
+        (["random-suite", "--which", "thm1", "--max-dim", "0"], "--max-dim"),
+    ],
+)
+def test_exit_two_on_non_positive_count(capsys, argv, flag):
+    code, out, err = run(capsys, argv)
+    assert code == 2
+    assert out == ""
+    assert f"input error: {flag} must be >= 1" in err
 
 
 def test_exit_two_on_bad_tol(capsys, data_dir):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschke_verify.errors import NonAtomicMeasure, PointNotOnCircle
+from blaschke_verify.errors import NonAtomicMeasure, NonFiniteValue, PointNotOnCircle
 from blaschke_verify.measure import (
     ZERO_MEASURE,
     AtomicMeasure,
@@ -34,6 +34,19 @@ def test_unit_point_rejects_off_circle():
         UnitPoint(complex(1.0 + 2e-9, 0.0))
     with pytest.raises(PointNotOnCircle):
         UnitPoint(0.5 + 0.5j)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: UnitPoint(complex(math.nan, 0.0)),
+        lambda: AtomicMeasure(atoms=[(1.0, complex(math.inf, 0.0))]),
+        lambda: AtomicMeasure(lebesgue=complex(0.0, math.nan)),
+    ],
+)
+def test_non_finite_values_rejected(build):
+    with pytest.raises(NonFiniteValue):
+        build()
 
 
 def test_unit_point_conj():
@@ -165,6 +178,7 @@ def test_json_angle_form():
         {"atoms": [{"weight": {"re": 1.0, "im": 0.0}}]},
         {"atoms": [{"point": {"re": 1.0, "im": 0.0}}]},
         {"atoms": [{"point": {"re": "x", "im": 0.0}, "weight": {"re": 1, "im": 0}}]},
+        {"atoms": [{"point": {"angle_deg": math.inf}, "weight": {"re": 1, "im": 0}}]},
     ],
 )
 def test_json_malformed(obj):

@@ -5,11 +5,19 @@ share nothing but the measure, so agreement on random instances is strong
 evidence each is right; hand-computable examples pin the absolute answers.
 """
 
+import json
+import math
+
 import numpy as np
 import pytest
 
-from blaschke_verify.errors import NumericalError
-from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
+from blaschke_verify.errors import NonIntegerWinding, NumericalError
+from blaschke_verify.measure import (
+    AtomicMeasure,
+    UnitPoint,
+    dirac,
+    measure_from_jsonable,
+)
 from blaschke_verify.operator_model import build_system_from_measure
 from blaschke_verify.random_instances import random_conditioned_measure, spawn_rng
 from blaschke_verify.transform import CauchyFunction
@@ -23,6 +31,8 @@ from blaschke_verify.zeros import (
     zeros_via_numerator_roots,
 )
 from blaschke_verify import zeros as zeros_mod
+
+from conftest import DATA
 
 
 def shifted(mu):
@@ -195,3 +205,135 @@ def test_no_zeros_case():
 def test_method_labels():
     f = shifted(dirac(-1.0, 1.0))
     assert zeros_via_argument_principle(f).method == METHOD_ARG
+
+
+# ---------------------------------------------------------------------------
+# nested trapezoid rule against the unnested one
+
+
+def _reference_contour_moments(f, center, rho):
+    """The unnested doubling loop: every level evaluates all n nodes afresh."""
+    poles = f.source.points
+    if poles.size:
+        clearance = np.abs(np.abs(poles - center) - rho)
+        if float(clearance.min()) < zeros_mod._POLE_CLEARANCE_REL * rho:
+            raise zeros_mod._NearZeroContour
+    n = zeros_mod._BASE_NODES
+    k = None
+    settled_at = None
+    prev = None
+    err = math.inf
+    while True:
+        theta = 2.0 * np.pi * np.arange(n) / n
+        e = np.exp(1j * theta)
+        w = center + rho * e
+        h, hp = zeros_mod._h_and_deriv_continuation(f, w)
+        amax = float(np.max(np.abs(h)))
+        if amax == 0.0 or float(np.min(np.abs(h))) <= zeros_mod._GUARD_REL * amax:
+            raise zeros_mod._NearZeroContour
+        logd = hp / h
+        if poles.size:
+            logd = logd + np.sum(1.0 / (w[:, None] - poles[None, :]), axis=1)
+        g = logd * (rho * e)
+        W = complex(np.mean(g))
+        M1 = complex(np.mean(w * g))
+        M2 = complex(np.mean(w * w * g))
+        if settled_at is None:
+            cand = round(W.real)
+            if abs(W - cand) < zeros_mod._WINDING_TOL:
+                k, settled_at = cand, n
+            elif n >= zeros_mod._MAX_NODES:
+                raise NonIntegerWinding(
+                    f"winding {W!r} not near an integer after {n} nodes"
+                )
+        elif abs(W - k) > zeros_mod._WINDING_TOL:
+            if n >= zeros_mod._MAX_NODES:
+                raise NonIntegerWinding(
+                    f"winding drifted from {k} to {W!r} at {n} nodes"
+                )
+            k, settled_at, prev, err = None, None, None, math.inf
+        else:
+            if prev is not None:
+                err = abs(M1 - prev[0]) + abs(M2 - prev[1])
+            if n >= settled_at * 4:
+                return k, M1, M2, err
+            prev = (M1, M2)
+        n *= 2
+
+
+def _outcome(contour, f, center, rho):
+    try:
+        return repr(contour(f, center, rho))
+    except (zeros_mod._NearZeroContour, NonIntegerWinding) as exc:
+        return type(exc).__name__
+
+
+def _contour_cases():
+    with open(DATA / "contour_measures.json") as fh:
+        tail = [measure_from_jsonable(m) for m in json.load(fh)["measures"]]
+    with open(DATA / "double_zero_measure.json") as fh:
+        double = measure_from_jsonable(json.load(fh))
+    return [
+        CauchyFunction(source=tail[0], mode="direct"),
+        shifted(tail[1]),
+        CauchyFunction(source=double, mode="direct"),
+        # the zero sits on the top-level contour, so the route nudges
+        shifted(dirac(-1.0, 1.0 / 0.999 - 1.0)),
+    ]
+
+
+def test_nested_contour_matches_unnested_bytes(monkeypatch):
+    # every contour the route visits, with its outcome and node count, is
+    # replayed through the unnested rule
+    visited = []
+    nodes = []
+    real = zeros_mod._contour_moments
+    evaluate = zeros_mod._h_and_deriv_continuation
+
+    def spy(f, center, rho):
+        nodes.clear()
+        try:
+            out = real(f, center, rho)
+        except (zeros_mod._NearZeroContour, NonIntegerWinding) as exc:
+            visited.append((f, center, rho, type(exc).__name__, sum(nodes)))
+            raise
+        visited.append((f, center, rho, repr(out), sum(nodes)))
+        return out
+
+    def counting(f, w):
+        nodes.append(w.size)
+        return evaluate(f, w)
+
+    monkeypatch.setattr(zeros_mod, "_contour_moments", spy)
+    monkeypatch.setattr(zeros_mod, "_h_and_deriv_continuation", counting)
+    for f in _contour_cases():
+        zeros_via_argument_principle(f)
+    monkeypatch.undo()
+
+    raised = swallowed = nudged = 0
+    for i, (f, center, rho, got, _) in enumerate(visited):
+        assert got == _outcome(_reference_contour_moments, f, center, rho), (
+            f.mode, center, rho,
+        )
+        raised += not got.startswith("(")
+        swallowed += bool(np.any(np.abs(f.source.points - center) < rho))
+        # the nudge ladder retries the same center at another radius
+        nudged += i > 0 and visited[i - 1][0] is f and visited[i - 1][1] == center
+    # the cases reach the regimes the nesting must not perturb
+    assert max(v[4] for v in visited) >= 16384
+    assert raised >= 1 and swallowed >= 1 and nudged >= 1
+
+
+def test_guard_sees_nodes_new_at_second_level():
+    # the zero of h = (1 + 2w)/(1 + w) sits exactly on the first odd node of
+    # the 2048-node rule, midway between two 1024-node neighbours
+    f = shifted(dirac(-1.0, 1.0))
+    rho = 0.1
+    theta = 2.0 * np.pi * np.arange(1, 2048, 2) / 2048
+    center = -0.5 - rho * np.exp(1j * theta[0])
+    first = center + rho * np.exp(2j * np.pi * np.arange(1024) / 1024)
+    h1 = np.abs(f(first))
+    assert h1.min() > zeros_mod._GUARD_REL * h1.max()  # level one alone passes
+    for contour in (zeros_mod._contour_moments, _reference_contour_moments):
+        with pytest.raises(zeros_mod._NearZeroContour):
+            contour(f, complex(center), rho)
