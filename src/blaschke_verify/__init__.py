@@ -22,7 +22,7 @@ from .errors import (
     InputError,
     NumericalError,
 )
-from .linalg import NumericalRangeSupport, dist_to_numerical_range, eigenvalues_clustered
+from .linalg import NumericalRangeSupport, eigenvalues_clustered
 from .measure import (
     AtomicMeasure,
     UnitPoint,
@@ -81,7 +81,6 @@ __all__ = [
     "check_theorem3",
     "dilate",
     "dirac",
-    "dist_to_numerical_range",
     "eigenvalues_clustered",
     "eval_K",
     "eval_h",

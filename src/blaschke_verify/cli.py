@@ -39,7 +39,8 @@ from .bounds import (
     check_theorem3,
     summarize,
 )
-from .dilation import dilate, roundtrip_check
+from .codec import line_atoms_from_jsonable, line_atoms_to_jsonable, matrix_to_json
+from .dilation import dilate, roundtrip_check, roundtrip_report
 from .errors import BlaschkeVerifyError, InputError
 from .measure import measure_from_jsonable, measure_to_jsonable, shift_measure
 from .operator_model import (
@@ -298,11 +299,11 @@ def _suite_instance(which: str, args, index: int):
         return [check_theorem2(mu, tol=_tol(args, "blaschke"))], measure_to_jsonable(mu)
     if which == "thm3":
         A, L = random_lowrank_pair(rng, max_dim=args.max_dim)
-        inst = {"A": _matrix_json(A), "L": _matrix_json(L)}
+        inst = {"A": matrix_to_json(A), "L": matrix_to_json(L)}
         return [check_theorem3(A, L, tol=_tol(args, "blaschke"))], inst
     if which == "schur":
         A, L = random_lowrank_pair(rng, max_dim=args.max_dim)
-        inst = {"A": _matrix_json(A), "L": _matrix_json(L)}
+        inst = {"A": matrix_to_json(A), "L": matrix_to_json(L)}
         return [check_schur_chain(A, L, tol=_tol(args, "schur"))], inst
     if which == "dilation":
         n = int(rng.integers(1, min(5, args.max_dim) + 1))
@@ -317,13 +318,8 @@ def _suite_instance(which: str, args, index: int):
     if which == "realline":
         atoms = random_real_line_atoms(rng, max_atoms=min(args.max_atoms, 6))
         rep = check_real_line_variant(atoms, tol=_tol(args, "realline"))
-        inst = {"atoms": [{"s": s_, "c": {"re": c.real, "im": c.imag}} for s_, c in atoms]}
-        return [rep], inst
+        return [rep], line_atoms_to_jsonable(atoms)
     raise InputError(f"unknown suite {which!r}")
-
-
-def _matrix_json(M):
-    return [[{"re": z.real, "im": z.imag} for z in row] for row in np.asarray(M)]
 
 
 def _run_suite(which: str, args):
@@ -373,9 +369,6 @@ def cmd_random_suite(args) -> int:
 def cmd_dilate(args) -> int:
     s = system_from_jsonable(_load_json(args.path))
     d = dilate(s.A, args.order)
-    unit_resid = float(
-        np.linalg.norm(d.U.conj().T @ d.U - np.eye(d.dim), ord=2)
-    )
     moment_errs = []
     Uk = np.eye(d.dim, dtype=complex)
     Ak = np.eye(s.n, dtype=complex)
@@ -387,9 +380,9 @@ def cmd_dilate(args) -> int:
         moment_errs.append(abs(want - got))
         Uk = Uk @ d.U
         Ak = Ak @ s.A
-    rep = roundtrip_check(s, args.order, taylor_tol=_tol(args, "taylor"))
+    rep = roundtrip_report(s, d, taylor_tol=_tol(args, "taylor"))
     rep = _with_detail(
-        rep, unitarity_residual=unit_resid, moment_errors=moment_errs
+        rep, unitarity_residual=d.unitarity_residual, moment_errors=moment_errs
     )
     return _emit(args, "dilate", [rep])
 
@@ -411,17 +404,7 @@ def cmd_schur_chain(args) -> int:
 
 def cmd_real_line(args) -> int:
     if args.path:
-        obj = _load_json(args.path)
-        if not isinstance(obj, dict) or "atoms" not in obj:
-            raise InputError("real-line file must be an object with an atoms array")
-        atoms = []
-        for entry in obj["atoms"]:
-            if not isinstance(entry, dict) or "s" not in entry:
-                raise InputError(f"malformed line atom: {entry!r}")
-            cv = entry.get("c", {"re": 0.0})
-            atoms.append(
-                (float(entry["s"]), complex(float(cv.get("re", 0.0)), float(cv.get("im", 0.0))))
-            )
+        atoms = line_atoms_from_jsonable(_load_json(args.path))
         reports = [check_real_line_variant(atoms, tol=_tol(args, "realline"))]
         return _emit(args, "real-line", reports)
     return _emit(args, "real-line", _run_suite("realline", args))

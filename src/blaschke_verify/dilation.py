@@ -52,6 +52,7 @@ class DilationResult:
     N: int
     defect: np.ndarray
     defect_adj: np.ndarray
+    unitarity_residual: float
 
     @property
     def n(self) -> int:
@@ -114,7 +115,9 @@ def dilate(A, N: int) -> DilationResult:
             )
         Uk = Uk @ U
         Ak = Ak @ A
-    return DilationResult(U=U, embed=embed, N=N, defect=DA, defect_adj=DAs)
+    return DilationResult(
+        U=U, embed=embed, N=N, defect=DA, defect_adj=DAs, unitarity_residual=resid
+    )
 
 
 def extract_spectral_measure(d: DilationResult, phi, psi) -> SpectralMeasureExtract:
@@ -176,7 +179,12 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> SpectralMeasureExtr
 
 
 def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = 1e-9) -> BoundReport:
-    """Dilate, extract the spectral measure, and compare transforms.
+    """Dilate A to order N and run roundtrip_report on the result."""
+    return roundtrip_report(s, dilate(s.A, N), taylor_tol)
+
+
+def roundtrip_report(s: ContractionSystem, d: DilationResult, taylor_tol: float) -> BoundReport:
+    """Extract the spectral measure of the dilation d of s.A and compare transforms.
 
     h(w) = 1 + w <(I - wA)^{-1} phi, psi> has Taylor coefficients
     <A^{m-1} phi, psi> for m >= 1; the reconstruction
@@ -186,13 +194,12 @@ def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = 1e-9) -> B
     h~, which ties the construction back to the measure calculus.  The report
     compares total_variation(measure) with ||phi|| ||psi||.
     """
-    d = dilate(s.A, N)
     ext = extract_spectral_measure(d, s.phi, s.psi)
     mu = ext.measure
     refl = reflect_measure(mu)
     coeff_errs = []
     Am = np.eye(s.n, dtype=complex)
-    for m in range(N + 2):
+    for m in range(d.N + 2):
         if m == 0:
             herr = 0.0  # both transforms are exactly 1 at the origin
         else:
@@ -226,7 +233,7 @@ def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = 1e-9) -> B
         rhs=s.norm_product(),
         tol=1e-10,
         details={
-            "order": N,
+            "order": d.N,
             "dimension": d.dim,
             "taylor_errors": coeff_errs,
             "reflection_residual": shift_err,

@@ -20,6 +20,10 @@ class NonFiniteValue(InputError):
     """A point, weight or coefficient is NaN or infinite."""
 
 
+class MalformedField(InputError):
+    """A file field is not a number, list or object where one is required."""
+
+
 class PointNotOnCircle(InputError):
     """Atom point further than the repair band from the unit circle."""
 

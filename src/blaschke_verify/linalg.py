@@ -18,6 +18,7 @@ import scipy.linalg
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NonFiniteValue,
     NotHermitian,
     NotPSD,
 )
@@ -31,7 +32,7 @@ def as_square_matrix(A) -> np.ndarray:
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M.view(float))):
-        raise DimensionMismatch("matrix entries must be finite")
+        raise NonFiniteValue("matrix entries must be finite")
     return M
 
 
@@ -245,15 +246,6 @@ class NumericalRangeSupport:
                     f1 = f(x1)
             best = max(best, f1, f2)
         return max(best, 0.0)
-
-
-def dist_to_numerical_range(A, lam: complex, angles: int = 720) -> float:
-    """Distance from lam to the numerical range of A (0 if lam is inside).
-
-    Convenience wrapper; for many queries against one matrix build a
-    NumericalRangeSupport once and call .distance().
-    """
-    return NumericalRangeSupport(A, angles=angles).distance(lam)
 
 
 def companion_matrix(coeffs) -> np.ndarray:

@@ -11,24 +11,18 @@ parts are out of scope.
 
 from __future__ import annotations
 
-import cmath
 import dataclasses
 from functools import cached_property
 
 import numpy as np
 
-from .errors import InputError, NonAtomicMeasure, NonFiniteValue, PointNotOnCircle
+from .codec import atom_entries, complex_from_json, complex_to_json, finite, real_from_json
+from .errors import NonAtomicMeasure, PointNotOnCircle
 
 # points nearer the circle than this are snapped onto it, further are rejected
 POINT_REPAIR_BAND = 1e-9
 # atom points closer than this are considered the same atom
 ATOM_MERGE_TOL = 1e-12
-
-
-def _finite(z: complex, what: str) -> complex:
-    if not cmath.isfinite(z):
-        raise NonFiniteValue(f"{what} {z!r} is not finite")
-    return z
 
 
 @dataclasses.dataclass(frozen=True)
@@ -43,7 +37,7 @@ class UnitPoint:
     value: complex
 
     def __post_init__(self):
-        v = _finite(complex(self.value), "point")
+        v = finite(complex(self.value), "point")
         r = abs(v)
         if abs(r - 1.0) > POINT_REPAIR_BAND:
             raise PointNotOnCircle(f"|{v!r}| = {r!r} is not within 1e-9 of 1")
@@ -72,7 +66,7 @@ class AtomicMeasure:
         weights: list[complex] = []
         for point, weight in self.atoms:
             p = point.value if isinstance(point, UnitPoint) else UnitPoint(point).value
-            w = _finite(complex(weight), "weight")
+            w = finite(complex(weight), "weight")
             for k, rep in enumerate(reps):
                 if abs(p - rep) <= ATOM_MERGE_TOL:
                     weights[k] += w
@@ -86,7 +80,7 @@ class AtomicMeasure:
         pairs.sort(key=lambda pw: (pw[0].value.real, pw[0].value.imag))
         object.__setattr__(self, "atoms", tuple(pairs))
         object.__setattr__(
-            self, "lebesgue", _finite(complex(self.lebesgue), "lebesgue coefficient")
+            self, "lebesgue", finite(complex(self.lebesgue), "lebesgue coefficient")
         )
 
     @cached_property
@@ -191,49 +185,30 @@ def polar_decompose(mu: AtomicMeasure) -> PolarDecomposition:
 # JSON interchange
 
 
-def _complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
-def _complex_from_json(obj) -> complex:
-    if not isinstance(obj, dict):
-        raise InputError(f"expected an object with re/im fields, got {obj!r}")
-    try:
-        return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"non-numeric re/im fields in {obj!r}") from exc
-
-
-def _point_from_json(obj) -> UnitPoint:
+def _point_from_json(obj, what: str) -> UnitPoint:
     if isinstance(obj, dict) and "angle_deg" in obj:
-        try:
-            deg = float(obj["angle_deg"])
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"non-numeric angle_deg in {obj!r}") from exc
-        theta = np.deg2rad(_finite(deg, "angle_deg"))
+        theta = np.deg2rad(real_from_json(obj["angle_deg"], f"{what}.angle_deg"))
         return UnitPoint(complex(np.cos(theta), np.sin(theta)))
-    return UnitPoint(_complex_from_json(obj))
+    return UnitPoint(complex_from_json(obj, what))
 
 
 def measure_to_jsonable(mu: AtomicMeasure) -> dict:
     return {
         "atoms": [
-            {"point": _complex_to_json(p.value), "weight": _complex_to_json(w)}
+            {"point": complex_to_json(p.value), "weight": complex_to_json(w)}
             for p, w in mu.atoms
         ],
-        "lebesgue": _complex_to_json(mu.lebesgue),
+        "lebesgue": complex_to_json(mu.lebesgue),
     }
 
 
 def measure_from_jsonable(obj) -> AtomicMeasure:
-    if not isinstance(obj, dict):
-        raise InputError("measure file must contain a JSON object")
-    if "atoms" not in obj or not isinstance(obj["atoms"], list):
-        raise InputError("measure object must have an 'atoms' list")
-    atoms = []
-    for entry in obj["atoms"]:
-        if not isinstance(entry, dict) or "point" not in entry or "weight" not in entry:
-            raise InputError(f"malformed atom entry: {entry!r}")
-        atoms.append((_point_from_json(entry["point"]), _complex_from_json(entry["weight"])))
-    leb = _complex_from_json(obj["lebesgue"]) if "lebesgue" in obj else 0.0
+    atoms = [
+        (
+            _point_from_json(e["point"], f"atoms[{i}].point"),
+            complex_from_json(e["weight"], f"atoms[{i}].weight"),
+        )
+        for i, e in enumerate(atom_entries(obj, "measure", ("point", "weight")))
+    ]
+    leb = complex_from_json(obj.get("lebesgue", {}), "lebesgue coefficient")
     return AtomicMeasure(atoms=atoms, lebesgue=leb)

@@ -20,11 +20,17 @@ import warnings
 import numpy as np
 import scipy.linalg
 
+from .codec import (
+    json_object,
+    matrix_from_json,
+    matrix_to_json,
+    vector_from_json,
+    vector_to_json,
+)
 from .errors import (
     DefectiveClusterWarning,
     DimensionMismatch,
     EmptyMeasure,
-    InputError,
     NonAtomicMeasure,
     NotAContraction,
     NumericalError,
@@ -32,13 +38,7 @@ from .errors import (
     OutsideDomain,
     SingularResolvent,
 )
-from .linalg import (
-    EigenCluster,
-    as_square_matrix,
-    eigenvalues_clustered,
-    operator_norm,
-    schur_decompose,
-)
+from .linalg import as_square_matrix, eigenvalues_clustered, operator_norm
 from .measure import AtomicMeasure, polar_decompose
 
 CONTRACTION_SLACK = 1e-10
@@ -170,16 +170,14 @@ def eigenvalues_outside_disk(
     p: PerturbedOperator,
     boundary_tol: float = BOUNDARY_TOL,
     cluster_tol: float = 1e-6,
-    with_boundary: bool = False,
 ):
     """Eigenvalue clusters of L with |center| > 1 + boundary_tol.
 
     Clusters within boundary_tol of the unit circle are indeterminate: on a
     finite grid of digits they cannot be told apart from circle spectrum, and
     leaving them out can only shrink Blaschke sums, the conservative direction
-    for every bound checked here.  Pass with_boundary=True to get
-    (outside, boundary) instead of just the outside list.  Cluster spread
-    beyond 10*cluster_tol flags severe defectiveness as a warning.
+    for every bound checked here.  Cluster spread beyond 10*cluster_tol flags
+    severe defectiveness as a warning.
     """
     if boundary_tol <= 0:
         raise ValueError("boundary_tol must be positive")
@@ -192,89 +190,21 @@ def eigenvalues_outside_disk(
                 DefectiveClusterWarning,
                 stacklevel=2,
             )
-    outside = [cl for cl in clusters if abs(cl.center) > 1.0 + boundary_tol]
-    if not with_boundary:
-        return outside
-    boundary = [cl for cl in clusters if abs(abs(cl.center) - 1.0) <= boundary_tol]
-    return outside, boundary
-
-
-class ResolventCauchy:
-    """Evaluates h(w) = 1 + w <(I-wA)^{-1} phi, psi> and h'(w) for many w.
-
-    One Schur decomposition up front turns every later query into two
-    triangular solves: with A = Q T Q*, phit = Q* phi, psit = Q* psi,
-
-        h(w)  = 1 + w psit* u,          (I - wT) u = phit
-        h'(w) =     psit* u + w psit* v, (I - wT) v = T u.
-
-    Gives an h-evaluation route for arbitrary contraction systems, not only
-    diagonal ones built from measures.
-    """
-
-    def __init__(self, s: ContractionSystem):
-        self.system = s
-        sf = schur_decompose(s.A)
-        self.T = sf.T
-        self.phit = sf.Q.conj().T @ s.phi
-        self.psit = sf.Q.conj().T @ s.psi
-        self._eye = np.eye(s.n, dtype=complex)
-
-    def h_and_derivative(self, w):
-        """Vectorized over a 1-d array of points strictly inside the disk."""
-        warr = np.atleast_1d(np.asarray(w, dtype=complex))
-        if np.any(np.abs(warr) >= 1.0):
-            raise OutsideDisk("all evaluation points must satisfy |w| < 1")
-        h = np.empty(warr.shape, dtype=complex)
-        hp = np.empty(warr.shape, dtype=complex)
-        for k, wk in enumerate(warr):
-            B = self._eye - wk * self.T
-            try:
-                u = scipy.linalg.solve_triangular(B, self.phit)
-                v = scipy.linalg.solve_triangular(B, self.T @ u)
-            except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-                raise SingularResolvent(f"resolvent solve failed at w = {wk!r}") from exc
-            s1 = np.vdot(self.psit, u)
-            h[k] = 1.0 + wk * s1
-            hp[k] = s1 + wk * np.vdot(self.psit, v)
-        if np.isscalar(w) or np.ndim(w) == 0:
-            return complex(h[0]), complex(hp[0])
-        return h, hp
+    return [cl for cl in clusters if abs(cl.center) > 1.0 + boundary_tol]
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
-def _complex_from_json(obj) -> complex:
-    if not isinstance(obj, dict):
-        raise InputError(f"expected an object with re/im fields, got {obj!r}")
-    return complex(float(obj.get("re", 0.0)), float(obj.get("im", 0.0)))
-
-
-def _complex_to_json(z: complex) -> dict:
-    return {"re": float(z.real), "im": float(z.imag)}
-
-
 def system_to_jsonable(s: ContractionSystem) -> dict:
-    return {
-        "A": [[_complex_to_json(z) for z in row] for row in s.A],
-        "phi": [_complex_to_json(z) for z in s.phi],
-        "psi": [_complex_to_json(z) for z in s.psi],
-    }
+    return {"A": matrix_to_json(s.A), "phi": vector_to_json(s.phi), "psi": vector_to_json(s.psi)}
 
 
 def system_from_jsonable(obj) -> ContractionSystem:
-    if not isinstance(obj, dict) or not all(k in obj for k in ("A", "phi", "psi")):
-        raise InputError("system file must be an object with A, phi, psi")
-    try:
-        A = np.array(
-            [[_complex_from_json(z) for z in row] for row in obj["A"]], dtype=complex
-        )
-        phi = np.array([_complex_from_json(z) for z in obj["phi"]], dtype=complex)
-        psi = np.array([_complex_from_json(z) for z in obj["psi"]], dtype=complex)
-    except TypeError as exc:
-        raise InputError(f"malformed system file: {exc}") from exc
-    if A.ndim != 2:
-        raise InputError("A must be a matrix")
-    return ContractionSystem(A=A, phi=phi, psi=psi)
+    json_object(obj, "system file", ("A", "phi", "psi"))
+    return ContractionSystem(
+        A=matrix_from_json(obj["A"], "A"),
+        phi=vector_from_json(obj["phi"], "phi"),
+        psi=vector_from_json(obj["psi"], "psi"),
+    )

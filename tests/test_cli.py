@@ -186,6 +186,38 @@ def test_exit_two_on_non_finite_measure(capsys, tmp_path, obj, named):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+def _system(**fields):
+    z = {"re": 0.5, "im": 0.0}
+    return {"A": [[z, z], [z, z]], "phi": [z, z], "psi": [z, z], **fields}
+
+
+_LINE_C = {"re": 1.0, "im": 0.0}
+
+
+@pytest.mark.parametrize(
+    "command, obj, named",
+    [
+        ("verify-system", _system(A=[[{"re": "x"}, {}], [{}, {}]]), "A[0][0].re must be"),
+        ("dilate", _system(A=[[{"re": "x"}, {}], [{}, {}]]), "A[0][0].re must be"),
+        ("verify-system", _system(A=[[{}, {}], [{}]]), "A must be a non-empty square matrix"),
+        ("dilate", _system(A=[[{}, {}], [{}]]), "A must be a non-empty square matrix"),
+        ("dilate", _system(phi=[{"re": math.inf}, {}]), "phi[0] (inf+0j) is not finite"),
+        ("real-line", {"atoms": [{"s": "abc", "c": _LINE_C}]}, "atoms[0].s must be"),
+        ("real-line", {"atoms": [{"s": 0.5, "c": 5}]}, "atoms[0].c must be"),
+        ("real-line", {"atoms": 3}, "atoms must be a list"),
+        ("real-line", {"atoms": [{"s": math.nan, "c": _LINE_C}]}, "atoms[0].s nan is not"),
+    ],
+)
+def test_exit_two_on_malformed_file(capsys, tmp_path, command, obj, named):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(obj))  # NaN / Infinity literals, which json.load accepts
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and named in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [

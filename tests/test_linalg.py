@@ -1,11 +1,10 @@
 import numpy as np
 import pytest
 
-from blaschke_verify.errors import NotHermitian, NotPSD
+from blaschke_verify.errors import NonFiniteValue, NotHermitian, NotPSD
 from blaschke_verify.linalg import (
     NumericalRangeSupport,
     cluster_points,
-    dist_to_numerical_range,
     eigenvalues_clustered,
     operator_norm,
     polynomial_roots,
@@ -124,6 +123,8 @@ def test_psd_sqrt_rejects():
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
     with pytest.raises(NotPSD):
         psd_sqrt(np.array([[-1.0]], dtype=complex))
+    with pytest.raises(NonFiniteValue):
+        psd_sqrt(np.array([[np.inf]], dtype=complex))
 
 
 def test_numerical_range_of_normal_matrix():
@@ -134,7 +135,7 @@ def test_numerical_range_of_normal_matrix():
     assert s.distance(2.0 + 0j) == pytest.approx(1.0, abs=1e-9)
     assert s.distance(0.0 + 1.0j) == pytest.approx(1.0, abs=1e-9)
     assert s.distance(0.3 + 0j) == pytest.approx(0.0, abs=1e-12)
-    assert dist_to_numerical_range(A, 0.0 + 2.0j) == pytest.approx(2.0, abs=1e-9)
+    assert s.distance(0.0 + 2.0j) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_numerical_range_nilpotent():

@@ -179,6 +179,7 @@ def test_json_angle_form():
         {"atoms": [{"point": {"re": 1.0, "im": 0.0}}]},
         {"atoms": [{"point": {"re": "x", "im": 0.0}, "weight": {"re": 1, "im": 0}}]},
         {"atoms": [{"point": {"angle_deg": math.inf}, "weight": {"re": 1, "im": 0}}]},
+        {"atoms": [{"point": {"re": True, "im": 0.0}, "weight": {"re": 1, "im": 0}}]},
     ],
 )
 def test_json_malformed(obj):

@@ -11,7 +11,6 @@ from blaschke_verify.errors import (
 from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
 from blaschke_verify.operator_model import (
     ContractionSystem,
-    ResolventCauchy,
     build_L,
     build_system_from_measure,
     eigenvalues_outside_disk,
@@ -91,19 +90,6 @@ def test_eval_h_resolvent_domain():
     s = random_system(np.random.default_rng(22), 3)
     with pytest.raises(OutsideDisk):
         eval_h_resolvent(s, 1.0 + 0j)
-
-
-def test_resolvent_cauchy_batch_matches_pointwise():
-    rng = np.random.default_rng(23)
-    s = random_system(rng, 6)
-    rc = ResolventCauchy(s)
-    ws = 0.85 * np.sqrt(rng.random(40)) * np.exp(1j * rng.uniform(0, 2 * np.pi, 40))
-    h, hp = rc.h_and_derivative(ws)
-    for i, w in enumerate(ws):
-        assert h[i] == pytest.approx(eval_h_resolvent(s, w), abs=1e-11)
-    step = 1e-7
-    fd = (rc.h_and_derivative(ws + step)[0] - rc.h_and_derivative(ws - step)[0]) / (2 * step)
-    assert np.max(np.abs(fd - hp) / np.maximum(1, np.abs(hp))) < 1e-6
 
 
 def test_sharp_example_perturbation():
