@@ -36,7 +36,6 @@ from .measure import (
 )
 from .operator_model import (
     ContractionSystem,
-    PerturbedOperator,
     build_L,
     build_system_from_measure,
     eval_h_resolvent,
@@ -66,7 +65,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "NumericalRangeSupport",
-    "PerturbedOperator",
     "UnitPoint",
     "ZeroSet",
     "blaschke_sum",

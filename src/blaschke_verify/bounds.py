@@ -190,13 +190,7 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     )
 
 
-def check_theorem3(
-    A,
-    L,
-    tol: float = BLASCHKE_TOL,
-    angles: int = 720,
-    cluster_tol: float = 1e-6,
-) -> BoundReport:
+def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     """Sum of distances from eigenvalues of L to the numerical range of A
     against the trace norm of L - A.
 
@@ -207,8 +201,8 @@ def check_theorem3(
     L = as_square_matrix(L)
     if A.shape != L.shape:
         raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
-    support = NumericalRangeSupport(A, angles=angles)
-    clusters = eigenvalues_clustered(L, tol=cluster_tol)
+    support = NumericalRangeSupport(A)
+    clusters = eigenvalues_clustered(L)
     lhs = 0.0
     dists = []
     for cl in clusters:
@@ -226,9 +220,7 @@ def check_theorem3(
     )
 
 
-def check_schur_chain(
-    A, L, tol: float = SCHUR_LINK_TOL, angles: int = 720
-) -> BoundReport:
+def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
     """The inequality chain through the Schur basis of L.
 
     With L = Q T Q*, g_n the columns of Q and lam_n = T_nn:
@@ -248,7 +240,7 @@ def check_schur_chain(
         raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
     sf = schur_decompose(L)
     lams = sf.eigenvalues
-    support = NumericalRangeSupport(A, angles=angles)
+    support = NumericalRangeSupport(A)
     S1 = float(sum(support.distance(lam) for lam in lams))
     AG = A @ sf.Q
     diagA = np.einsum("ij,ij->j", np.conj(sf.Q), AG)
@@ -341,17 +333,12 @@ def check_jensen_h1(numerator_coeffs, tol: float = JENSEN_TOL) -> BoundReport:
     )
 
 
-def check_real_line_variant(
-    atoms,
-    tol: float = REAL_LINE_TOL,
-    imag_tol: float = 1e-8,
-    cluster_tol: float = 1e-6,
-) -> BoundReport:
+def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     """Upper-half-plane zeros of a line measure's transform vs its first moment norm.
 
     For mu = sum c_j delta_{s_j} on the real line with sum c_j = 1 and
     h(lam) = sum c_j/(s_j - lam), the bound is sum Im(lam) over zeros with
-    Im(lam) > 0 against sum |s_j| |c_j|.
+    Im(lam) > 0 (numerically, > 1e-8) against sum |s_j| |c_j|.
 
     The operator route: the resolvent identity needs the first-moment weights
     c'_j = s_j c_j.  With A = diag(s_j), phi'_j = sqrt|c'_j|,
@@ -373,11 +360,11 @@ def check_real_line_variant(
     phi = np.sqrt(mod).astype(complex)
     psi = np.conj(np.where(mod > 0, cp / np.where(mod > 0, mod, 1.0), 0.0)) * np.sqrt(mod)
     L = np.diag(ss).astype(complex) - np.outer(phi, np.conj(psi))
-    clusters = eigenvalues_clustered(L, tol=cluster_tol)
+    clusters = eigenvalues_clustered(L)
     lhs = 0.0
     counted = []
     for cl in clusters:
-        if cl.center.imag > imag_tol:
+        if cl.center.imag > 1e-8:
             lam = cl.center
             resid = abs(np.sum(cc / (ss - lam)))
             if resid > 1e-8:

@@ -72,6 +72,8 @@ from .zeros import (
 )
 
 DETERMINANT_TOL = 1e-11
+# the contour route searches |w| < CONTOUR_CAP; roots beyond it are not compared
+CONTOUR_CAP = 0.999
 
 _TOL_DEFAULTS = {
     "blaschke": BLASCHKE_TOL,
@@ -119,7 +121,9 @@ def _workers() -> int:
         try:
             base = max(1, min(base, int(cap)))
         except ValueError:
-            pass
+            raise InputError(
+                f"BLASCHKE_VERIFY_THREADS must be an integer, got {cap!r}"
+            ) from None
     return base
 
 
@@ -180,8 +184,13 @@ def _dump_failure(command: str, payload: dict):
 
 
 def _load_json(path):
-    with open(path) as fh:
-        return json.load(fh)
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError:
+            raise
+        except ValueError as exc:  # not UTF-8, or an integer over the digit limit
+            raise InputError(f"{path}: {exc}") from None
 
 
 def _with_detail(report: BoundReport, **extra) -> BoundReport:
@@ -192,9 +201,9 @@ def _with_detail(report: BoundReport, **extra) -> BoundReport:
 # three-way zero agreement
 
 
-def _filter_cap(zs: ZeroSet, cap: float) -> ZeroSet:
+def _filter_cap(zs: ZeroSet) -> ZeroSet:
     return ZeroSet(
-        zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < cap), method=zs.method
+        zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < CONTOUR_CAP), method=zs.method
     )
 
 
@@ -216,7 +225,7 @@ def _agreement_report(name, a: ZeroSet, b: ZeroSet, tol: float) -> BoundReport:
     )
 
 
-def _zero_crosscheck(sigma, f: CauchyFunction, tol: float, cap: float = 0.999):
+def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):
     """Reports comparing the three zero-finding routes on one function.
 
     sigma is the shifted-mode representative driving the eigenvalue route
@@ -227,12 +236,8 @@ def _zero_crosscheck(sigma, f: CauchyFunction, tol: float, cap: float = 0.999):
     if sigma is not None and sigma.natoms:
         eig = zeros_via_L(build_system_from_measure(sigma))
         reports.append(_agreement_report("zeros-eigenvalue-vs-roots", eig, roots, tol))
-    arg = zeros_via_argument_principle(f, radius=cap)
-    reports.append(
-        _agreement_report(
-            "zeros-contour-vs-roots", arg, _filter_cap(roots, cap), tol
-        )
-    )
+    arg = zeros_via_argument_principle(f, radius=CONTOUR_CAP)
+    reports.append(_agreement_report("zeros-contour-vs-roots", arg, _filter_cap(roots), tol))
     return reports
 
 

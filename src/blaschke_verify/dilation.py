@@ -50,8 +50,6 @@ class DilationResult:
     U: np.ndarray
     embed: np.ndarray
     N: int
-    defect: np.ndarray
-    defect_adj: np.ndarray
     unitarity_residual: float
 
     @property
@@ -61,14 +59,6 @@ class DilationResult:
     @property
     def dim(self) -> int:
         return self.U.shape[0]
-
-
-@dataclasses.dataclass(frozen=True)
-class SpectralMeasureExtract:
-    """Atoms <P_k embed(phi), embed(psi)> at the eigenvalues of U."""
-
-    measure: AtomicMeasure
-    eigenvalue_clusters: tuple
 
 
 def dilate(A, N: int) -> DilationResult:
@@ -115,13 +105,12 @@ def dilate(A, N: int) -> DilationResult:
             )
         Uk = Uk @ U
         Ak = Ak @ A
-    return DilationResult(
-        U=U, embed=embed, N=N, defect=DA, defect_adj=DAs, unitarity_residual=resid
-    )
+    return DilationResult(U=U, embed=embed, N=N, unitarity_residual=resid)
 
 
-def extract_spectral_measure(d: DilationResult, phi, psi) -> SpectralMeasureExtract:
-    """The complex measure <E_U(.) embed(phi), embed(psi)> as circle atoms.
+def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
+    """The complex measure <E_U(.) embed(phi), embed(psi)> as circle atoms:
+    weight <P_k embed(phi), embed(psi)> at each eigenvalue of U.
 
     U is normal, so its Schur form must come out diagonal (residual above
     1e-8 is an error, not something to repair).  Eigenvalues are snapped to
@@ -175,7 +164,7 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> SpectralMeasureExtr
     tv = total_variation(measure)
     if tv > scale + 1e-10:
         raise DilationError(f"total variation {tv!r} exceeds ||phi|| ||psi|| = {scale!r}")
-    return SpectralMeasureExtract(measure=measure, eigenvalue_clusters=tuple(clusters))
+    return measure
 
 
 def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = 1e-9) -> BoundReport:
@@ -194,8 +183,7 @@ def roundtrip_report(s: ContractionSystem, d: DilationResult, taylor_tol: float)
     h~, which ties the construction back to the measure calculus.  The report
     compares total_variation(measure) with ||phi|| ||psi||.
     """
-    ext = extract_spectral_measure(d, s.phi, s.psi)
-    mu = ext.measure
+    mu = extract_spectral_measure(d, s.phi, s.psi)
     refl = reflect_measure(mu)
     coeff_errs = []
     Am = np.eye(s.n, dtype=complex)

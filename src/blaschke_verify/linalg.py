@@ -24,6 +24,10 @@ from .errors import (
 )
 
 DEFAULT_CLUSTER_TOL = 1e-6
+# Hermitian and PSD slack of psd_sqrt, relative to max(||H||, 1)
+PSD_TOL = 1e-10
+# support-function grid of NumericalRangeSupport
+NR_ANGLES = 720
 
 
 def as_square_matrix(A) -> np.ndarray:
@@ -156,28 +160,28 @@ def operator_norm(A) -> float:
     return float(s[0]) if s.size else 0.0
 
 
-def psd_sqrt(H, hermitian_tol: float = 1e-10, psd_tol: float = 1e-10) -> np.ndarray:
+def psd_sqrt(H) -> np.ndarray:
     """Hermitian square root of a PSD matrix via the Hermitian eigensolver.
 
-    Accepts H with ||H - H*|| <= hermitian_tol*max(||H||, 1) and eigenvalues
-    down to -psd_tol*max(||H||, 1); negative eigenvalues are clamped to 0.
-    The floor at 1 keeps near-zero defect matrices (unitary inputs upstream)
-    from failing a relative test against their own roundoff.  The result S is
-    exactly Hermitian with S @ S = H to ~1e-9 relative.
+    Accepts H with ||H - H*|| <= 1e-10*max(||H||, 1) and eigenvalues down to
+    -1e-10*max(||H||, 1); negative eigenvalues are clamped to 0.  The floor at
+    1 keeps near-zero defect matrices (unitary inputs upstream) from failing a
+    relative test against their own roundoff.  The result S is exactly
+    Hermitian with S @ S = H to ~1e-9 relative.
     """
     M = as_square_matrix(H)
     if M.shape[0] == 0:
         return M.copy()
     scale = max(operator_norm(M), 1.0)
     herm_defect = operator_norm(M - M.conj().T)
-    if herm_defect > hermitian_tol * scale:
+    if herm_defect > PSD_TOL * scale:
         raise NotHermitian(
-            f"||H - H*|| = {herm_defect:.3e} exceeds {hermitian_tol:.1e}*max(||H||, 1)"
+            f"||H - H*|| = {herm_defect:.3e} exceeds {PSD_TOL:.1e}*max(||H||, 1)"
         )
     sym = (M + M.conj().T) / 2
     w, V = np.linalg.eigh(sym)
-    if w.size and w[0] < -psd_tol * scale:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{psd_tol:.1e}*max(||H||, 1)")
+    if w.size and w[0] < -PSD_TOL * scale:
+        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}*max(||H||, 1)")
     S = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
     return (S + S.conj().T) / 2
 
@@ -186,7 +190,7 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class NumericalRangeSupport:
-    """Support function of the numerical range of A, sampled on an angle grid.
+    """Support function of the numerical range of A on a grid of 720 angles.
 
     The numerical range is convex (Toeplitz-Hausdorff), so
     dist(lam, Num(A)) = max_theta (Re(e^{-i theta} lam) - s(theta)) clamped at
@@ -198,12 +202,9 @@ class NumericalRangeSupport:
     inequality this package checks.
     """
 
-    def __init__(self, A, angles: int = 720):
-        if angles < 16:
-            raise ValueError("need at least 16 angles")
+    def __init__(self, A):
         self.A = as_square_matrix(A)
-        self.angles = angles
-        self.thetas = 2.0 * np.pi * np.arange(angles) / angles
+        self.thetas = 2.0 * np.pi * np.arange(NR_ANGLES) / NR_ANGLES
         ph = np.exp(-1j * self.thetas)
         # stack of Hermitian parts, one batched eigvalsh call
         stack = (
@@ -216,13 +217,13 @@ class NumericalRangeSupport:
         H = (np.exp(-1j * theta) * self.A + np.exp(1j * theta) * self.A.conj().T) / 2
         return float(np.linalg.eigvalsh(H)[-1])
 
-    def distance(self, lam: complex, refine: bool = True) -> float:
+    def distance(self, lam: complex) -> float:
         lam = complex(lam)
         vals = (lam * np.exp(-1j * self.thetas)).real - self.support
         k = int(np.argmax(vals))
         best = float(vals[k])
-        if refine and best > -1e-13:
-            step = 2.0 * np.pi / self.angles
+        if best > -1e-13:
+            step = 2.0 * np.pi / NR_ANGLES
 
             def f(theta):
                 return (lam * np.exp(-1j * theta)).real - self._support_at(theta)
@@ -248,37 +249,20 @@ class NumericalRangeSupport:
         return max(best, 0.0)
 
 
-def companion_matrix(coeffs) -> np.ndarray:
-    """Companion matrix of a polynomial given by ascending coefficients.
+def polynomial_roots(coeffs) -> np.ndarray:
+    """All complex roots of a polynomial with ascending coefficients.
 
-    coeffs = [a0, a1, ..., an] with an != 0 represents a0 + a1 x + ... + an x^n.
+    Trailing zero coefficients are dropped first, so the companion matrix is
+    built on a nonzero leading coefficient.  Roots come from its Schur form,
+    sorted by (Re, Im).
     """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    if c.size < 2:
-        raise ValueError("need degree >= 1")
-    if c[-1] == 0:
-        raise ValueError("leading coefficient must be nonzero")
+    c = np.trim_zeros(np.asarray(coeffs, dtype=complex).ravel(), "b")
     n = c.size - 1
+    if n < 1:
+        return np.zeros(0, dtype=complex)
     C = np.zeros((n, n), dtype=complex)
     C[1:, :-1] = np.eye(n - 1)
     C[:, -1] = -c[:-1] / c[-1]
-    return C
-
-
-def polynomial_roots(coeffs, trim: float = 0.0) -> np.ndarray:
-    """All complex roots of a polynomial with ascending coefficients.
-
-    Trailing coefficients with modulus <= trim are dropped first (a tiny
-    leading coefficient would otherwise manufacture a huge spurious root).
-    Roots come from the Schur form of the companion matrix, sorted by (Re, Im).
-    """
-    c = np.asarray(coeffs, dtype=complex).ravel()
-    keep = c.size
-    while keep > 0 and abs(c[keep - 1]) <= trim:
-        keep -= 1
-    c = c[:keep]
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    ev = schur_decompose(companion_matrix(c)).eigenvalues
+    ev = schur_decompose(C).eigenvalues
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]

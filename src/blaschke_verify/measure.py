@@ -108,9 +108,6 @@ class AtomicMeasure:
         )
 
 
-ZERO_MEASURE = AtomicMeasure()
-
-
 def dirac(point, weight: complex = 1.0) -> AtomicMeasure:
     """weight * delta_point, a single atom."""
     return AtomicMeasure(atoms=[(point, weight)])

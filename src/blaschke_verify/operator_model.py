@@ -32,8 +32,8 @@ from .errors import (
     DimensionMismatch,
     EmptyMeasure,
     NonAtomicMeasure,
+    NonFiniteValue,
     NotAContraction,
-    NumericalError,
     OutsideDisk,
     OutsideDomain,
     SingularResolvent,
@@ -61,6 +61,9 @@ class ContractionSystem:
             raise DimensionMismatch(
                 f"A is {A.shape[0]}x{A.shape[0]} but |phi|={phi.size}, |psi|={psi.size}"
             )
+        for name, v in (("phi", phi), ("psi", psi)):
+            if not np.all(np.isfinite(v)):
+                raise NonFiniteValue(f"{name} entries must be finite")
         nrm = operator_norm(A)
         if nrm > 1.0 + CONTRACTION_SLACK:
             raise NotAContraction(f"||A|| = {nrm!r} exceeds 1 + 1e-10")
@@ -75,14 +78,6 @@ class ContractionSystem:
     def norm_product(self) -> float:
         """||phi|| * ||psi||, the trace norm of the rank-one perturbation."""
         return float(np.linalg.norm(self.phi) * np.linalg.norm(self.psi))
-
-
-@dataclasses.dataclass(frozen=True)
-class PerturbedOperator:
-    """L = A - phi psi*; keeps the source system for provenance."""
-
-    L: np.ndarray
-    system: ContractionSystem
 
 
 def build_system_from_measure(sigma: AtomicMeasure) -> ContractionSystem:
@@ -120,69 +115,50 @@ def eval_h_resolvent(s: ContractionSystem, w: complex) -> complex:
     return complex(1.0 + w * np.vdot(s.psi, x))
 
 
-def build_L(s: ContractionSystem) -> PerturbedOperator:
+def build_L(s: ContractionSystem) -> np.ndarray:
     """The rank-one perturbation L = A - phi psi* (Mf = -<f,psi> phi)."""
-    return PerturbedOperator(L=s.A - np.outer(s.phi, np.conj(s.psi)), system=s)
+    return s.A - np.outer(s.phi, np.conj(s.psi))
 
 
 def perturbation_determinant(
-    s: ContractionSystem, lam: complex, method: str = "both", crosscheck_tol: float = 1e-9
+    s: ContractionSystem, lam: complex, method: str = "rank1"
 ) -> complex:
     """det(I - M (lam - A)^{-1}) for the rank-one M = -phi psi*, |lam| > 1.
 
     method 'rank1' uses the identity det = 1 + <(lam-A)^{-1} phi, psi>;
     method 'lu' forms the full matrix I + phi psi* (lam-A)^{-1} and takes its
-    LU-based determinant; 'both' computes the two independently, requires
-    relative agreement within crosscheck_tol, and returns the rank-one value.
-    Both coincide with h(1/lam), which is how eigenvalues of L outside the
-    closed disk correspond to zeros of h inside.
+    LU-based determinant.  Both coincide with h(1/lam), which is how
+    eigenvalues of L outside the closed disk correspond to zeros of h inside.
     """
     lam = complex(lam)
     if abs(lam) <= 1.0:
         raise OutsideDomain(f"|lam| = {abs(lam)!r} must exceed 1")
-    if method not in ("rank1", "lu", "both"):
+    if method not in ("rank1", "lu"):
         raise ValueError(f"unknown method {method!r}")
     B = lam * np.eye(s.n, dtype=complex) - s.A
     try:
         lu, piv = scipy.linalg.lu_factor(B)
     except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
         raise SingularResolvent(f"lam - A singular at lam = {lam!r}: {exc}") from exc
-    vals = {}
-    if method in ("rank1", "both"):
+    if method == "rank1":
         x = scipy.linalg.lu_solve((lu, piv), s.phi)
-        vals["rank1"] = complex(1.0 + np.vdot(s.psi, x))
-    if method in ("lu", "both"):
-        R = scipy.linalg.lu_solve((lu, piv), np.eye(s.n, dtype=complex))
-        full = np.eye(s.n, dtype=complex) + np.outer(s.phi, np.conj(s.psi)) @ R
-        vals["lu"] = complex(np.linalg.det(full))
-    if method == "both":
-        scale = max(1.0, abs(vals["rank1"]))
-        if abs(vals["rank1"] - vals["lu"]) > crosscheck_tol * scale:
-            raise NumericalError(
-                "determinant paths disagree: "
-                f"rank1={vals['rank1']!r} lu={vals['lu']!r}"
-            )
-        return vals["rank1"]
-    return vals[method]
+        return complex(1.0 + np.vdot(s.psi, x))
+    R = scipy.linalg.lu_solve((lu, piv), np.eye(s.n, dtype=complex))
+    full = np.eye(s.n, dtype=complex) + np.outer(s.phi, np.conj(s.psi)) @ R
+    return complex(np.linalg.det(full))
 
 
-def eigenvalues_outside_disk(
-    p: PerturbedOperator,
-    boundary_tol: float = BOUNDARY_TOL,
-    cluster_tol: float = 1e-6,
-):
-    """Eigenvalue clusters of L with |center| > 1 + boundary_tol.
+def eigenvalues_outside_disk(L, cluster_tol: float = 1e-6):
+    """Eigenvalue clusters of L with |center| > 1 + 1e-8 (BOUNDARY_TOL).
 
-    Clusters within boundary_tol of the unit circle are indeterminate: on a
+    Clusters within BOUNDARY_TOL of the unit circle are indeterminate: on a
     finite grid of digits they cannot be told apart from circle spectrum, and
     leaving them out can only shrink Blaschke sums, the conservative direction
     for every bound checked here.  Cluster spread beyond 10*cluster_tol flags
     severe defectiveness as a warning.
     """
-    if boundary_tol <= 0:
-        raise ValueError("boundary_tol must be positive")
-    clusters = eigenvalues_clustered(p.L, tol=cluster_tol)
-    scale = max(1.0, operator_norm(p.L))
+    clusters = eigenvalues_clustered(L, tol=cluster_tol)
+    scale = max(1.0, operator_norm(L))
     for cl in clusters:
         if cl.spread > 10 * cluster_tol * scale:
             warnings.warn(
@@ -190,7 +166,7 @@ def eigenvalues_outside_disk(
                 DefectiveClusterWarning,
                 stacklevel=2,
             )
-    return [cl for cl in clusters if abs(cl.center) > 1.0 + boundary_tol]
+    return [cl for cl in clusters if abs(cl.center) > 1.0 + BOUNDARY_TOL]
 
 
 # ---------------------------------------------------------------------------

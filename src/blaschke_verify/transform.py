@@ -88,16 +88,6 @@ def eval_h(f: CauchyFunction, w):
     return _as_input_shape(vals, w)
 
 
-def eval_h_derivative(f: CauchyFunction, w):
-    """Analytic h'(w) by termwise differentiation of the kernel."""
-    warr = _check_disk(w)
-    if f.mode == "direct":
-        vals = _K_derivative(f.source, warr)
-    else:
-        vals = _K_values(f.source, warr) + warr * _K_derivative(f.source, warr)
-    return _as_input_shape(vals, w)
-
-
 def taylor_moment(mu: AtomicMeasure, n: int) -> complex:
     """n-th Taylor coefficient of K mu: sum_j c_j conj(zeta_j)^n, + lebesgue at n=0."""
     if n < 0:
@@ -110,7 +100,7 @@ def taylor_moment(mu: AtomicMeasure, n: int) -> complex:
 
 @dataclasses.dataclass(frozen=True)
 class RationalForm:
-    """h = numerator / prod_j (1 - w conj(pole_j)) with poles at the atoms.
+    """h = numerator / prod_j (1 - w conj(zeta_j)) over the atoms zeta_j.
 
     Coefficients ascend in w.  The poles sit exactly at the atom points (the
     kernel denominator 1 - w conj(zeta) vanishes at w = zeta), hence on the
@@ -118,24 +108,6 @@ class RationalForm:
     """
 
     numerator: np.ndarray
-    poles: np.ndarray
-
-    def denominator_coeffs(self) -> np.ndarray:
-        q = np.array([1.0 + 0j])
-        for z in self.poles:
-            q = P.polymul(q, np.array([1.0, -np.conj(z)]))
-        return q
-
-    def __call__(self, w):
-        warr = np.asarray(w, dtype=complex)
-        num = (
-            P.polyval(warr, self.numerator)
-            if self.numerator.size
-            else np.zeros(warr.shape, dtype=complex)
-        )
-        den = np.prod(1.0 - warr[..., None] * np.conj(self.poles), axis=-1)
-        vals = num / den
-        return complex(vals) if np.isscalar(w) or np.ndim(w) == 0 else vals
 
 
 def rational_form(f: CauchyFunction) -> RationalForm:
@@ -150,8 +122,7 @@ def rational_form(f: CauchyFunction) -> RationalForm:
     masquerade as a leading term.
     """
     mu = f.source
-    pts = mu.points
-    zb = np.conj(pts)
+    zb = np.conj(mu.points)
     n = mu.natoms
     # Q = prod (1 - w conj(zeta_j)); partial[j] = Q without factor j
     Q = np.array([1.0 + 0j])
@@ -179,4 +150,4 @@ def rational_form(f: CauchyFunction) -> RationalForm:
             num = num[:keep]
         else:
             num = np.zeros(1, dtype=complex)
-    return RationalForm(numerator=num, poles=pts.copy())
+    return RationalForm(numerator=num)

@@ -27,12 +27,7 @@ from .errors import (
     NumericalError,
 )
 from .linalg import cluster_points, polynomial_roots
-from .operator_model import (
-    ContractionSystem,
-    PerturbedOperator,
-    build_L,
-    eigenvalues_outside_disk,
-)
+from .operator_model import ContractionSystem, build_L, eigenvalues_outside_disk
 from .transform import CauchyFunction, rational_form
 
 METHOD_L = "reciprocal-eigenvalue"
@@ -96,37 +91,32 @@ def match_zero_sets(a: ZeroSet, b: ZeroSet, tol: float = PAIRING_TOL):
     return (worst <= tol and mults_ok), worst
 
 
-def zeros_via_L(
-    s: ContractionSystem,
-    boundary_tol: float = 1e-8,
-    cluster_tol: float = 1e-6,
-) -> ZeroSet:
+def zeros_via_L(s: ContractionSystem, cluster_tol: float = 1e-6) -> ZeroSet:
     """Reciprocals of the eigenvalues of L = A - phi psi* outside the disk.
 
-    Eigenvalue clusters within boundary_tol of the unit circle are
-    indeterminate and excluded (their reciprocal zeros would hug the boundary
-    from inside); multiplicities are cluster sizes.
+    Eigenvalue clusters within 1e-8 (operator_model.BOUNDARY_TOL) of the unit
+    circle are indeterminate and excluded (their reciprocal zeros would hug
+    the boundary from inside); multiplicities are cluster sizes, merged with
+    radius cluster_tol*max(1, ||L||).
     """
-    p = build_L(s)
-    outside = eigenvalues_outside_disk(
-        p, boundary_tol=boundary_tol, cluster_tol=cluster_tol
-    )
+    outside = eigenvalues_outside_disk(build_L(s), cluster_tol=cluster_tol)
     return ZeroSet(
         zeros=tuple((1.0 / cl.center, cl.multiplicity) for cl in outside),
         method=METHOD_L,
     )
 
 
-def zeros_via_numerator_roots(f: CauchyFunction, cluster_tol: float = 1e-6) -> ZeroSet:
+def zeros_via_numerator_roots(f: CauchyFunction) -> ZeroSet:
     """Roots of the exact rational numerator, filtered to the open disk.
 
     The companion-matrix eigenvalues of the numerator polynomial are the only
-    candidates for zeros of h; clustering recovers multiplicities.
+    candidates for zeros of h; clustering with radius 1e-6 recovers
+    multiplicities.
     """
     rf = rational_form(f)
     roots = polynomial_roots(rf.numerator)
     inside = roots[np.abs(roots) < 1.0]
-    clusters = cluster_points(inside, radius=cluster_tol)
+    clusters = cluster_points(inside, radius=1e-6)
     return ZeroSet(
         zeros=tuple((cl.center, cl.multiplicity) for cl in clusters),
         method=METHOD_ROOTS,
@@ -287,9 +277,10 @@ _CHILD_OFFSETS = np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]) / 2.0
 _CHILD_FACTOR = (1.0 / math.sqrt(2.0)) * 1.000001
 _CELL_FLOOR = 1e-8
 _SPREAD_FLOOR = 1e-8
+_MAX_DEPTH = 60
 
 
-def _isolate(f, center, rho, depth, max_depth, out):
+def _isolate(f, center, rho, depth, out):
     radius, k, M1, M2, err = _contour_with_nudges(f, center, rho)
     if k < 0:
         # the integrand is pole-free, so a settled negative count means the
@@ -304,31 +295,24 @@ def _isolate(f, center, rho, depth, max_depth, out):
     if (spread <= floor and sane) or radius <= _CELL_FLOOR:
         out.append((complex(centroid), k))
         return
-    if depth >= max_depth:
+    if depth >= _MAX_DEPTH:
         raise MaxDepthExceeded(
             f"cell at {center!r} radius {radius!r} still mixed at depth {depth}"
         )
     for off in _CHILD_OFFSETS:
-        _isolate(
-            f,
-            center + radius * complex(off),
-            radius * _CHILD_FACTOR,
-            depth + 1,
-            max_depth,
-            out,
-        )
+        child = center + radius * complex(off)
+        _isolate(f, child, radius * _CHILD_FACTOR, depth + 1, out)
 
 
-def zeros_via_argument_principle(
-    f: CauchyFunction, radius: float = 0.999, max_depth: int = 60
-) -> ZeroSet:
+def zeros_via_argument_principle(f: CauchyFunction, radius: float = 0.999) -> ZeroSet:
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
     The top-level contour certifies the total count; recursive quadrisection
-    with covering disks then isolates each zero, a cell terminating once its
-    zero-centroid spread is below the moment noise floor (or its radius hits
-    1e-8).  Covering disks overlap, so duplicate reports within 1e-7 are
-    merged; the surviving multiplicities must add up to the certified total.
+    with covering disks (at most 60 levels deep) then isolates each zero, a
+    cell terminating once its zero-centroid spread is below the moment noise
+    floor (or its radius hits 1e-8).  Covering disks overlap, so duplicate
+    reports within 1e-7 are merged; the surviving multiplicities must add up
+    to the certified total.
     Search is capped below the boundary (default 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  Neither is a reference for this one; the numerator roots in
@@ -336,8 +320,6 @@ def zeros_via_argument_principle(
     """
     if not 0.0 < radius <= 0.999:
         raise ValueError("radius must lie in (0, 0.999]")
-    if max_depth < 1:
-        raise ValueError("max_depth must be >= 1")
     cap, k_top, _, _, _ = _contour_with_nudges(f, 0.0, radius)
     if k_top < 0:
         raise NumericalError(f"top-level contour winding {k_top} is negative")
@@ -345,7 +327,7 @@ def zeros_via_argument_principle(
         return ZeroSet(zeros=(), method=METHOD_ARG)
     raw: list = []
     for off in _CHILD_OFFSETS:
-        _isolate(f, cap * complex(off), cap * _CHILD_FACTOR, 1, max_depth, raw)
+        _isolate(f, cap * complex(off), cap * _CHILD_FACTOR, 1, raw)
     # dedupe overlap duplicates; the same zero keeps its full multiplicity in
     # every covering cell, so groups take the max, not the sum
     groups: list[list] = []

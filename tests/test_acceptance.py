@@ -212,8 +212,8 @@ def test_criterion_6_dilation_roundtrip():
             Ak = Ak @ s.A
         rep = roundtrip_check(s, N, taylor_tol=1e-9)
         assert rep.passed, (i, rep.to_jsonable())
-        ext = extract_spectral_measure(d, s.phi, s.psi)
-        assert total_variation(ext.measure) <= s.norm_product() + 1e-10, i
+        mu = extract_spectral_measure(d, s.phi, s.psi)
+        assert total_variation(mu) <= s.norm_product() + 1e-10, i
     elapsed = time.perf_counter() - t0
     ok = elapsed < 60.0
     report_line(6, "dilation roundtrip", ok, f"100 instances, {elapsed:.1f} s")

@@ -145,6 +145,31 @@ def test_exit_two_on_bad_json(capsys, tmp_path):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize(
+    "raw, named",
+    [
+        (b"\xff\xfe{}", "codec can't decode"),
+        (b'{"atoms": [{"s": ' + b"1" * 5000 + b', "c": {"re": 1.0}}]}', "Exceeds the limit"),
+    ],
+    ids=["not-utf8", "over-digit-limit"],
+)
+def test_exit_two_on_undecodable_file(capsys, tmp_path, raw, named):
+    p = tmp_path / "raw.json"
+    p.write_bytes(raw)
+    code, out, err = run(capsys, ["real-line", str(p)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"input error: {p}: ") and named in err
+
+
+def test_exit_two_on_bad_thread_count(capsys, monkeypatch):
+    monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", "abc")
+    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
+    assert code == 2
+    assert out == ""
+    assert err == "input error: BLASCHKE_VERIFY_THREADS must be an integer, got 'abc'\n"
+
+
 def test_exit_two_on_bad_point(capsys, tmp_path):
     p = tmp_path / "off.json"
     p.write_text(

@@ -84,8 +84,7 @@ def test_swap_matrix_spectral_measure():
     )
     d = dilate(s.A, 1)
     assert np.allclose(d.U, np.array([[0.0, 1.0], [1.0, 0.0]]))
-    ext = extract_spectral_measure(d, s.phi, s.psi)
-    mu = ext.measure
+    mu = extract_spectral_measure(d, s.phi, s.psi)
     assert mu.natoms == 2
     pts = sorted(mu.points, key=lambda z: z.real)
     assert pts[0] == pytest.approx(-1.0) and pts[1] == pytest.approx(1.0)
@@ -98,10 +97,10 @@ def test_swap_matrix_moments_by_hand():
     s = ContractionSystem(
         A=np.array([[0.0 + 0j]]), phi=np.array([1.0 + 0j]), psi=np.array([1.0 + 0j])
     )
-    ext = extract_spectral_measure(dilate(s.A, 1), s.phi, s.psi)
+    mu = extract_spectral_measure(dilate(s.A, 1), s.phi, s.psi)
     for m in range(6):
         want = 1.0 if m % 2 == 0 else 0.0
-        assert taylor_moment(ext.measure, m) == pytest.approx(want, abs=1e-12)
+        assert taylor_moment(mu, m) == pytest.approx(want, abs=1e-12)
 
 
 def test_spectral_measure_mass_equals_pairing():
@@ -115,9 +114,9 @@ def test_spectral_measure_mass_equals_pairing():
             psi=complex_gaussian(rng, (n,)),
         )
         d = dilate(s.A, N)
-        ext = extract_spectral_measure(d, s.phi, s.psi)
+        mu = extract_spectral_measure(d, s.phi, s.psi)
         want = complex(np.vdot(d.embed @ s.psi, d.embed @ s.phi))
-        assert ext.measure.mass() == pytest.approx(want, abs=1e-9)
+        assert mu.mass() == pytest.approx(want, abs=1e-9)
         # embedding is isometric, so the pairing equals the original one
         assert want == pytest.approx(complex(np.vdot(s.psi, s.phi)), abs=1e-12)
 
@@ -141,8 +140,8 @@ def test_roundtrip_random():
 def test_roundtrip_bound_is_norm_product():
     s = random_sys(44, 3)
     rep = roundtrip_check(s, 4)
-    ext = extract_spectral_measure(dilate(s.A, 4), s.phi, s.psi)
-    assert rep.lhs == pytest.approx(total_variation(ext.measure), abs=1e-12)
+    mu = extract_spectral_measure(dilate(s.A, 4), s.phi, s.psi)
+    assert rep.lhs == pytest.approx(total_variation(mu), abs=1e-12)
     assert rep.rhs == pytest.approx(
         float(np.linalg.norm(s.phi) * np.linalg.norm(s.psi)), abs=1e-12
     )
@@ -155,11 +154,11 @@ def test_spectral_measure_reproduces_unitary_resolvent():
     s = random_sys(45, 2)
     N = 6
     d = dilate(s.A, N)
-    ext = extract_spectral_measure(d, s.phi, s.psi)
+    mu = extract_spectral_measure(d, s.phi, s.psi)
     from blaschke_verify.measure import reflect_measure
     from blaschke_verify.operator_model import eval_h_resolvent
 
     big = ContractionSystem(A=d.U, phi=d.embed @ s.phi, psi=d.embed @ s.psi)
-    f = CauchyFunction(source=reflect_measure(ext.measure))
+    f = CauchyFunction(source=reflect_measure(mu))
     for w in (0.31 + 0.4j, -0.55 - 0.2j, 0.05 + 0.85j):
         assert eval_h(f, w) == pytest.approx(eval_h_resolvent(big, w), abs=1e-9)
