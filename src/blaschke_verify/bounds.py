@@ -269,22 +269,30 @@ _QUAD_BASE = 4096
 _QUAD_MAX = 2**20
 
 
-def _boundary_mean(values_at):
-    """Mean over the unit circle by trapezoid, doubling until stable to 1e-9.
+def _circle_means(coeffs):
+    """Circle means of log|h|, |h| and |h - 1| by one trapezoid loop.
 
-    values_at(theta_array) -> real samples; the integrand must be smooth on
-    the circle (checked by the caller), so doubling converges geometrically.
+    h is sampled once per rule, starting at 4096 nodes and doubling; each
+    mean is taken at the first rule where it moved by less than 1e-9.  The
+    first rule doubles as the boundary-zero probe, so every integrand is
+    smooth on the circle and doubling converges geometrically.
     """
+    means = [None, None, None]
+    prev = [math.inf] * 3
     n = _QUAD_BASE
-    prev = None
-    while n <= _QUAD_MAX:
+    while None in means:
+        if n > _QUAD_MAX:
+            raise QuadratureNoConvergence(f"boundary mean still moving at {n // 2} nodes")
         theta = 2.0 * np.pi * np.arange(n) / n
-        cur = float(np.mean(values_at(theta)))
-        if prev is not None and abs(cur - prev) < 1e-9:
-            return cur
+        h = np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
+        absh = np.abs(h)
+        if n == _QUAD_BASE and float(np.min(absh)) <= 1e-8:
+            raise ZeroOnBoundary(f"min |h| on the circle is {float(np.min(absh)):.3e}")
+        cur = [float(np.mean(v)) for v in (np.log(absh), absh, np.abs(h - 1.0))]
+        means = [c if m is None and abs(c - p) < 1e-9 else m for m, c, p in zip(means, cur, prev)]
         prev = cur
         n *= 2
-    raise QuadratureNoConvergence(f"boundary mean still moving at {n // 2} nodes")
+    return means
 
 
 def check_jensen_h1(numerator_coeffs, tol: float = JENSEN_TOL) -> BoundReport:
@@ -300,19 +308,11 @@ def check_jensen_h1(numerator_coeffs, tol: float = JENSEN_TOL) -> BoundReport:
     coeffs = np.asarray(numerator_coeffs, dtype=complex).ravel()
     if coeffs.size == 0 or abs(coeffs[0] - 1.0) > 1e-12:
         raise NotNormalized("polynomial must have constant coefficient 1")
-
-    def h_on_circle(theta):
-        return np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
-
-    probe = np.abs(h_on_circle(2.0 * np.pi * np.arange(_QUAD_BASE) / _QUAD_BASE))
-    if float(np.min(probe)) <= 1e-8:
-        raise ZeroOnBoundary(f"min |h| on the circle is {float(np.min(probe)):.3e}")
+    log_mean, h1, h1m1 = _circle_means(coeffs)
     roots = polynomial_roots(coeffs)
     inside = roots[np.abs(roots) < 1.0]
     lhs = float(np.sum(1.0 / np.abs(inside) - 1.0)) if inside.size else 0.0
-    geo = math.exp(_boundary_mean(lambda t: np.log(np.abs(h_on_circle(t)))))
-    h1 = _boundary_mean(lambda t: np.abs(h_on_circle(t)))
-    h1m1 = _boundary_mean(lambda t: np.abs(h_on_circle(t) - 1.0))
+    geo = math.exp(log_mean)
     links = [
         _link("blaschke-vs-geometric-mean", lhs, geo - 1.0, tol),
         _link("geometric-vs-h1", geo - 1.0, h1 - 1.0, tol),

@@ -52,6 +52,7 @@ from .operator_model import (
     system_to_jsonable,
 )
 from .random_instances import (
+    MIN_PAIR_DIM,
     complex_gaussian,
     random_atomic_measure,
     random_contraction,
@@ -63,6 +64,7 @@ from .random_instances import (
 )
 from .transform import CauchyFunction
 from .zeros import (
+    CONTOUR_CAP,
     PAIRING_TOL,
     ZeroSet,
     match_zero_sets,
@@ -72,8 +74,6 @@ from .zeros import (
 )
 
 DETERMINANT_TOL = 1e-11
-# the contour route searches |w| < CONTOUR_CAP; roots beyond it are not compared
-CONTOUR_CAP = 0.999
 
 _TOL_DEFAULTS = {
     "blaschke": BLASCHKE_TOL,
@@ -102,12 +102,18 @@ def _parse_tols(pairs) -> dict:
 
 
 def _check_counts(args):
-    """Sizes the suites draw up to, and the dilation order, must be positive."""
-    for name in ("max_atoms", "max_dim", "order"):
-        value = getattr(args, name, 1)
-        if value < 1:
+    """Suite sizes and the dilation order must be positive, seed and count not negative."""
+    lows = {"max_atoms": 1, "max_dim": 1, "order": 1, "seed": 0, "instances": 0}
+    for name, low in lows.items():
+        value = getattr(args, name, low)
+        if value < low:
             flag = "--" + name.replace("_", "-")
-            raise InputError(f"{flag} must be >= 1, got {value}")
+            raise InputError(f"{flag} must be >= {low}, got {value}")
+    pairs = args.command == "schur-chain" or getattr(args, "which", "") in ("thm3", "schur", "all")
+    if pairs and args.max_dim < MIN_PAIR_DIM:
+        raise InputError(
+            f"--max-dim must be >= {MIN_PAIR_DIM} for the thm3 and schur suites, got {args.max_dim}"
+        )
 
 
 def _tol(args, name: str) -> float:
@@ -346,13 +352,9 @@ def _run_suite(which: str, args):
             _with_detail(r, suite=which, instance=index) for r in reports
         ], inst
 
-    nworkers = _workers()
     indices = range(args.instances)
-    if nworkers <= 1:
-        results = [run_one(i) for i in indices]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(run_one, indices))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=_workers()) as pool:
+        results = list(pool.map(run_one, indices))
     reports = []
     for index, (reps, inst) in zip(indices, results):
         reports.extend(reps)

@@ -66,7 +66,7 @@ def dilate(A, N: int) -> DilationResult:
 
     Raises NotAContraction for ||A|| > 1 + 1e-10, DilationError if the
     assembled matrix misses unitarity (1e-10 * dim) or any compression
-    block(U^k)_00 = A^k for k <= N (1e-10 * ||A||^k each).
+    block(U^k)_00 = A^k for 1 <= k <= N (1e-10 * ||A||^k each).
     """
     A = np.asarray(A, dtype=complex)
     if N < 1:
@@ -95,16 +95,17 @@ def dilate(A, N: int) -> DilationResult:
         raise DilationError(f"unitarity residual {resid:.3e} > 1e-10 * {dim}")
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :] = eye
+    # k = 0 compares I with I, so the check starts at the first power
     Uk = np.eye(dim, dtype=complex)
     Ak = eye.copy()
-    for k in range(N + 1):
+    for k in range(1, N + 1):
+        Uk = Uk @ U
+        Ak = Ak @ A
         err = operator_norm(Uk[:n, :n] - Ak)
         if err > COMPRESSION_TOL * max(nrm, 1e-30) ** k:
             raise DilationError(
                 f"compression broke at order {k}: residual {err:.3e}"
             )
-        Uk = Uk @ U
-        Ak = Ak @ A
     return DilationResult(U=U, embed=embed, N=N, unitarity_residual=resid)
 
 
@@ -185,18 +186,14 @@ def roundtrip_report(s: ContractionSystem, d: DilationResult, taylor_tol: float)
     """
     mu = extract_spectral_measure(d, s.phi, s.psi)
     refl = reflect_measure(mu)
-    coeff_errs = []
+    coeff_errs = [0.0]  # both transforms are exactly 1 at the origin
     Am = np.eye(s.n, dtype=complex)
-    for m in range(d.N + 2):
-        if m == 0:
-            herr = 0.0  # both transforms are exactly 1 at the origin
-        else:
-            want = complex(np.vdot(s.psi, Am @ s.phi))
-            # m-th coefficient of h~ is the (m-1)-th moment of the reflection
-            got = taylor_moment(refl, m - 1)
-            herr = abs(want - got)
-            Am = Am @ s.A
-        coeff_errs.append(herr)
+    for m in range(1, d.N + 2):
+        want = complex(np.vdot(s.psi, Am @ s.phi))
+        # m-th coefficient of h~ is the (m-1)-th moment of the reflection
+        got = taylor_moment(refl, m - 1)
+        coeff_errs.append(abs(want - got))
+        Am = Am @ s.A
     worst = max(coeff_errs)
     if worst > taylor_tol:
         raise DilationError(

@@ -98,7 +98,3 @@ class QuadratureNoConvergence(NumericalError):
 
 class DilationError(NumericalError):
     """Constructed dilation violated a unitarity or compression invariant."""
-
-
-class DefectiveClusterWarning(UserWarning):
-    """An eigenvalue cluster has suspiciously large spread (severe defectiveness)."""

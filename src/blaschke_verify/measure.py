@@ -113,14 +113,6 @@ def dirac(point, weight: complex = 1.0) -> AtomicMeasure:
     return AtomicMeasure(atoms=[(point, weight)])
 
 
-@dataclasses.dataclass(frozen=True)
-class PolarDecomposition:
-    """Per-atom split weight = modulus * phase with modulus >= 0, |phase| = 1."""
-
-    moduli: np.ndarray
-    phases: np.ndarray
-
-
 def total_variation(mu: AtomicMeasure) -> float:
     """||mu|| = sum |c_j| + |lebesgue|; atoms are singular with respect to m."""
     return float(np.sum(np.abs(mu.weights)) + abs(mu.lebesgue))
@@ -165,8 +157,10 @@ def reflect_measure(mu: AtomicMeasure) -> AtomicMeasure:
     )
 
 
-def polar_decompose(mu: AtomicMeasure) -> PolarDecomposition:
+def polar_decompose(mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
     """Split each weight into modulus and unimodular phase (d mu = nu d|mu|).
+
+    Returns (moduli, phases) with moduli >= 0 and |phases| = 1, per atom.
 
     Requires a purely atomic measure; zero weights cannot occur (dropped at
     construction), so phases are well defined.
@@ -175,7 +169,7 @@ def polar_decompose(mu: AtomicMeasure) -> PolarDecomposition:
         raise NonAtomicMeasure("polar decomposition needs lebesgue = 0")
     moduli = np.abs(mu.weights)
     phases = mu.weights / np.where(moduli > 0, moduli, 1.0)
-    return PolarDecomposition(moduli=moduli, phases=phases)
+    return moduli, phases
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ determinant det(I + phi psi* (lam - A)^{-1}).
 from __future__ import annotations
 
 import dataclasses
-import warnings
 
 import numpy as np
 import scipy.linalg
@@ -28,7 +27,6 @@ from .codec import (
     vector_to_json,
 )
 from .errors import (
-    DefectiveClusterWarning,
     DimensionMismatch,
     EmptyMeasure,
     NonAtomicMeasure,
@@ -38,7 +36,7 @@ from .errors import (
     OutsideDomain,
     SingularResolvent,
 )
-from .linalg import as_square_matrix, eigenvalues_clustered, operator_norm
+from .linalg import DEFAULT_CLUSTER_TOL, as_square_matrix, eigenvalues_clustered, operator_norm
 from .measure import AtomicMeasure, polar_decompose
 
 CONTRACTION_SLACK = 1e-10
@@ -91,11 +89,11 @@ def build_system_from_measure(sigma: AtomicMeasure) -> ContractionSystem:
         raise NonAtomicMeasure("operator model needs a purely atomic measure")
     if sigma.natoms == 0:
         raise EmptyMeasure("operator model needs at least one atom")
-    pol = polar_decompose(sigma)
-    root = np.sqrt(pol.moduli)
+    moduli, phases = polar_decompose(sigma)
+    root = np.sqrt(moduli)
     A = np.diag(np.conj(sigma.points))
     phi = root.astype(complex)
-    psi = np.conj(pol.phases) * root
+    psi = np.conj(phases) * root
     return ContractionSystem(A=A, phi=phi, psi=psi)
 
 
@@ -148,24 +146,15 @@ def perturbation_determinant(
     return complex(np.linalg.det(full))
 
 
-def eigenvalues_outside_disk(L, cluster_tol: float = 1e-6):
+def eigenvalues_outside_disk(L, cluster_tol: float = DEFAULT_CLUSTER_TOL):
     """Eigenvalue clusters of L with |center| > 1 + 1e-8 (BOUNDARY_TOL).
 
     Clusters within BOUNDARY_TOL of the unit circle are indeterminate: on a
     finite grid of digits they cannot be told apart from circle spectrum, and
     leaving them out can only shrink Blaschke sums, the conservative direction
-    for every bound checked here.  Cluster spread beyond 10*cluster_tol flags
-    severe defectiveness as a warning.
+    for every bound checked here.
     """
     clusters = eigenvalues_clustered(L, tol=cluster_tol)
-    scale = max(1.0, operator_norm(L))
-    for cl in clusters:
-        if cl.spread > 10 * cluster_tol * scale:
-            warnings.warn(
-                f"cluster at {cl.center!r} has spread {cl.spread:.2e}",
-                DefectiveClusterWarning,
-                stacklevel=2,
-            )
     return [cl for cl in clusters if abs(cl.center) > 1.0 + BOUNDARY_TOL]
 
 

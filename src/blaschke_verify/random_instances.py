@@ -23,6 +23,12 @@ from .operator_model import ContractionSystem
 from .transform import CauchyFunction, rational_form
 
 MAX_WEIGHT_MODULUS = 5.0
+MIN_POINT_SEPARATION = 1e-3
+MIN_SYSTEM_DIM = 1
+MIN_PAIR_DIM = 2
+MAX_PAIR_RANK = 3
+MAX_CONDITIONED_TRIES = 500
+MAX_POLYNOMIAL_DEGREE = 6
 
 
 def spawn_rng(seed: int, index: int) -> np.random.Generator:
@@ -36,14 +42,14 @@ def complex_gaussian(rng, shape=()):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
-def random_unit_points(rng, n: int, min_separation: float = 1e-3) -> np.ndarray:
-    """n points uniform on the circle, pairwise at least min_separation apart."""
+def random_unit_points(rng, n: int) -> np.ndarray:
+    """n points uniform on the circle, pairwise at least MIN_POINT_SEPARATION apart."""
     for _ in range(200):
         pts = np.exp(2j * np.pi * rng.random(n))
         if n == 1:
             return pts
         d = np.abs(pts[:, None] - pts[None, :]) + 2.0 * np.eye(n)
-        if float(np.min(d)) >= min_separation:
+        if float(np.min(d)) >= MIN_POINT_SEPARATION:
             return pts
     raise RuntimeError("could not draw well-separated circle points")
 
@@ -75,8 +81,8 @@ def random_contraction(rng, n: int) -> np.ndarray:
     return G * (u / nrm)
 
 
-def random_system(rng, max_dim: int = 10, min_dim: int = 1) -> ContractionSystem:
-    n = int(rng.integers(min_dim, max_dim + 1))
+def random_system(rng, max_dim: int = 10) -> ContractionSystem:
+    n = int(rng.integers(MIN_SYSTEM_DIM, max_dim + 1))
     return ContractionSystem(
         A=random_contraction(rng, n),
         phi=complex_gaussian(rng, (n,)),
@@ -84,11 +90,11 @@ def random_system(rng, max_dim: int = 10, min_dim: int = 1) -> ContractionSystem
     )
 
 
-def random_lowrank_pair(rng, max_dim: int = 10, max_rank: int = 3):
-    """(A, L) with A an arbitrary Gaussian matrix and L - A of rank <= max_rank."""
-    n = int(rng.integers(2, max_dim + 1))
+def random_lowrank_pair(rng, max_dim: int = 10):
+    """(A, L) with A an arbitrary Gaussian matrix and L - A of rank <= MAX_PAIR_RANK."""
+    n = int(rng.integers(MIN_PAIR_DIM, max_dim + 1))
     A = complex_gaussian(rng, (n, n))
-    r = int(rng.integers(1, max_rank + 1))
+    r = int(rng.integers(1, MAX_PAIR_RANK + 1))
     P = sum(
         np.outer(complex_gaussian(rng, (n,)), np.conj(complex_gaussian(rng, (n,))))
         for _ in range(r)
@@ -96,16 +102,14 @@ def random_lowrank_pair(rng, max_dim: int = 10, max_rank: int = 3):
     return A, A + P
 
 
-def random_conditioned_measure(
-    rng, max_atoms: int = 8, max_tries: int = 500
-) -> AtomicMeasure:
+def random_conditioned_measure(rng, max_atoms: int = 8) -> AtomicMeasure:
     """A measure whose shifted transform has well-conditioned zeros.
 
     Rejects draws with numerator roots of modulus in [0.97, 1.03] (too close
     to the circle for contour methods and to the eigenvalue boundary cut) or
     with two roots closer than 1e-5 (cluster tolerances would blur them).
     """
-    for _ in range(max_tries):
+    for _ in range(MAX_CONDITIONED_TRIES):
         mu = random_atomic_measure(rng, max_atoms=max_atoms)
         f = CauchyFunction(source=mu, mode="shifted")
         roots = polynomial_roots(rational_form(f).numerator)
@@ -126,13 +130,13 @@ def random_disk_points(rng, n: int, rmax: float = 0.9) -> np.ndarray:
     return r * np.exp(2j * np.pi * rng.random(n))
 
 
-def random_polynomial_with_unit_constant(rng, max_degree: int = 6) -> np.ndarray:
+def random_polynomial_with_unit_constant(rng) -> np.ndarray:
     """Ascending coefficients of h = prod (1 - w/z_j), so h(0) = 1 exactly.
 
     Root moduli are drawn away from the unit circle (in [0.25, 0.85] or
     [1.2, 3.0]) so boundary quadrature and disk zero counting stay clean.
     """
-    deg = int(rng.integers(1, max_degree + 1))
+    deg = int(rng.integers(1, MAX_POLYNOMIAL_DEGREE + 1))
     coeffs = np.array([1.0 + 0j])
     for _ in range(deg):
         if rng.random() < 0.5:

@@ -26,7 +26,7 @@ from .errors import (
     NonIntegerWinding,
     NumericalError,
 )
-from .linalg import cluster_points, polynomial_roots
+from .linalg import DEFAULT_CLUSTER_TOL, cluster_points, polynomial_roots
 from .operator_model import ContractionSystem, build_L, eigenvalues_outside_disk
 from .transform import CauchyFunction, rational_form
 
@@ -36,6 +36,8 @@ METHOD_ROOTS = "numerator-roots"
 
 # zeros reported by different routes are considered the same within this
 PAIRING_TOL = 1e-7
+# the contour route searches |w| < radius <= CONTOUR_CAP and leaves the rim to the others
+CONTOUR_CAP = 0.999
 
 
 @dataclasses.dataclass(frozen=True)
@@ -91,7 +93,7 @@ def match_zero_sets(a: ZeroSet, b: ZeroSet, tol: float = PAIRING_TOL):
     return (worst <= tol and mults_ok), worst
 
 
-def zeros_via_L(s: ContractionSystem, cluster_tol: float = 1e-6) -> ZeroSet:
+def zeros_via_L(s: ContractionSystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ZeroSet:
     """Reciprocals of the eigenvalues of L = A - phi psi* outside the disk.
 
     Eigenvalue clusters within 1e-8 (operator_model.BOUNDARY_TOL) of the unit
@@ -304,7 +306,7 @@ def _isolate(f, center, rho, depth, out):
         _isolate(f, child, radius * _CHILD_FACTOR, depth + 1, out)
 
 
-def zeros_via_argument_principle(f: CauchyFunction, radius: float = 0.999) -> ZeroSet:
+def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP) -> ZeroSet:
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
     The top-level contour certifies the total count; recursive quadrisection
@@ -313,13 +315,13 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = 0.999) -> Ze
     floor (or its radius hits 1e-8).  Covering disks overlap, so duplicate
     reports within 1e-7 are merged; the surviving multiplicities must add up
     to the certified total.
-    Search is capped below the boundary (default 0.999): the contour route
+    Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  Neither is a reference for this one; the numerator roots in
     particular lose accuracy above about 24 atoms.
     """
-    if not 0.0 < radius <= 0.999:
-        raise ValueError("radius must lie in (0, 0.999]")
+    if not 0.0 < radius <= CONTOUR_CAP:
+        raise ValueError(f"radius must lie in (0, {CONTOUR_CAP}]")
     cap, k_top, _, _, _ = _contour_with_nudges(f, 0.0, radius)
     if k_top < 0:
         raise NumericalError(f"top-level contour winding {k_top} is negative")

@@ -156,6 +156,65 @@ def test_jensen_zero_on_boundary():
         check_jensen_h1([1.0, -1.0])  # h(1) = 0
 
 
+def _near_circle_polynomial(modulus, angle):
+    """h = (1 - w/z)(1 - w/(0.5 + 0.2i)) with |z| = modulus, so h(0) = 1."""
+    z = modulus * np.exp(1j * angle)
+    return np.polynomial.polynomial.polymul([1.0, -1.0 / z], [1.0, -1.0 / (0.5 + 0.2j)])
+
+
+def _three_pass_mean(values_at):
+    """Reference: one trapezoid doubling loop per integrand, returning (mean, nodes)."""
+    n = 4096
+    prev = None
+    while n <= 2**20:
+        theta = 2.0 * np.pi * np.arange(n) / n
+        cur = float(np.mean(values_at(theta)))
+        if prev is not None and abs(cur - prev) < 1e-9:
+            return cur, n
+        prev = cur
+        n *= 2
+    raise AssertionError("reference mean did not settle")
+
+
+@pytest.mark.parametrize(
+    "modulus, angle", [(0.999, 0.3), (0.9995, 1.0), (0.9999, 2.0), (1 / 0.999, 0.5)]
+)
+def test_jensen_means_match_three_pass_loop(modulus, angle):
+    from blaschke_verify.bounds import _circle_means
+
+    coeffs = _near_circle_polynomial(modulus, angle)
+
+    def h(theta):
+        return np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
+
+    ref = [
+        _three_pass_mean(lambda t: np.log(np.abs(h(t)))),
+        _three_pass_mean(lambda t: np.abs(h(t))),
+        _three_pass_mean(lambda t: np.abs(h(t) - 1.0)),
+    ]
+    # the three means settle at different rules, so each is taken on its own
+    assert len({n for _, n in ref}) > 1
+    assert _circle_means(coeffs) == [m for m, _ in ref]
+    d = check_jensen_h1(coeffs).details
+    assert d["geometric_mean"] == math.exp(ref[0][0])
+    assert d["h1_norm"] == ref[1][0]
+    assert d["h1_norm_centered"] == ref[2][0]
+
+
+def test_jensen_samples_h_once_per_rule(monkeypatch):
+    sizes = []
+    polyval = np.polynomial.polynomial.polyval
+
+    def counting(x, c):
+        sizes.append(np.size(x))
+        return polyval(x, c)
+
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", counting)
+    check_jensen_h1(_near_circle_polynomial(0.9999, 2.0))
+    # probe and all three means share the samples: 4096, 8192, ..., 131072
+    assert sizes == [4096 * 2**k for k in range(6)]
+
+
 def test_jensen_random():
     from blaschke_verify.random_instances import random_polynomial_with_unit_constant
 

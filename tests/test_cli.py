@@ -243,19 +243,50 @@ def test_exit_two_on_malformed_file(capsys, tmp_path, command, obj, named):
     assert "Traceback" not in err
 
 
+_PAIR_DIM = "--max-dim must be >= 2 for the thm3 and schur suites, got 1"
+
+
 @pytest.mark.parametrize(
-    "argv, flag",
+    "argv, message",
     [
-        (["dilate", str(DATA / "dilate_system.json"), "--order", "0"], "--order"),
-        (["random-suite", "--which", "thm2", "--max-atoms", "0"], "--max-atoms"),
-        (["random-suite", "--which", "thm1", "--max-dim", "0"], "--max-dim"),
+        (["dilate", str(DATA / "dilate_system.json"), "--order", "0"], "--order must be >= 1"),
+        (["random-suite", "--which", "thm2", "--max-atoms", "0"], "--max-atoms must be >= 1"),
+        (["random-suite", "--which", "thm1", "--max-dim", "0"], "--max-dim must be >= 1"),
+        (["random-suite", "--which", "thm2", "--seed", "-1"], "--seed must be >= 0"),
+        (["jensen", "--seed", "-3"], "--seed must be >= 0"),
+        (["random-suite", "--which", "thm2", "--instances", "-1"], "--instances must be >= 0"),
+        (["jensen", "--instances", "-2"], "--instances must be >= 0"),
+        (["random-suite", "--which", "thm3", "--max-dim", "1"], _PAIR_DIM),
+        (["random-suite", "--which", "schur", "--max-dim", "1"], _PAIR_DIM),
+        (["random-suite", "--which", "all", "--max-dim", "1"], _PAIR_DIM),
+        (["schur-chain", "--max-dim", "1"], _PAIR_DIM),
     ],
+    # the flag names the case
+    ids=lambda v: v.split()[0] if isinstance(v, str) else None,
 )
-def test_exit_two_on_non_positive_count(capsys, argv, flag):
+def test_exit_two_on_non_positive_count(capsys, argv, message):
     code, out, err = run(capsys, argv)
     assert code == 2
     assert out == ""
-    assert f"input error: {flag} must be >= 1" in err
+    assert f"input error: {message}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["thm1", "dilation"])
+def test_max_dim_one_runs_single_dimension_suites(capsys, which):
+    argv = ["random-suite", "--which", which, "--max-dim", "1", "--instances", "3"]
+    code, out, _ = run(capsys, argv)
+    assert code == 0
+    summary = json.loads(out)["summary"]
+    assert summary["total"] == 3 and summary["failed"] == 0
+
+
+def test_zero_instances_give_empty_payload(capsys):
+    code, out, err = run(capsys, ["random-suite", "--instances", "0"])
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["reports"] == []
+    assert payload["summary"] == {"failed": 0, "min_slack": None, "total": 0}
 
 
 def test_exit_two_on_bad_tol(capsys, data_dir):

@@ -91,6 +91,24 @@ def test_jordan_block_cluster():
     assert cl2[0].spread < 1e-4
 
 
+def test_running_mean_chain_spread_is_harmonic():
+    """Each join moves a cluster's running-mean center by at most radius/k,
+    so k members spread at most radius * H_k.  A chain that places every
+    point just inside the radius from the current center comes within one
+    radius of it; spread beyond 10 radii would need more than 12,000 members.
+    """
+    radius = 1e-6
+    members = [0.0 + 0.0j]
+    for _ in range(199):
+        center = sum(members) / len(members)
+        members.append(center + radius * (1.0 - 1e-6))
+    clusters = cluster_points(np.array(members), radius=radius)
+    assert len(clusters) == 1 and clusters[0].multiplicity == 200
+    harmonic = sum(1.0 / k for k in range(1, 201))
+    assert radius * (harmonic - 1.01) < clusters[0].spread <= radius * harmonic
+    assert sum(1.0 / k for k in range(1, 12_001)) < 10.0
+
+
 def test_singular_values_frobenius_identity():
     rng = np.random.default_rng(13)
     for _ in range(20):

@@ -146,9 +146,9 @@ def test_reflect_measure_is_involution():
 
 def test_polar_decompose():
     mu = AtomicMeasure(atoms=((UnitPoint(1.0 + 0j), -2.0 + 0j),))
-    pd = polar_decompose(mu)
-    assert pd.moduli[0] == pytest.approx(2.0)
-    assert pd.phases[0] == pytest.approx(-1.0)
+    moduli, phases = polar_decompose(mu)
+    assert moduli[0] == pytest.approx(2.0)
+    assert phases[0] == pytest.approx(-1.0)
     with pytest.raises(NonAtomicMeasure):
         polar_decompose(AtomicMeasure(atoms=(), lebesgue=1.0 + 0j))
 

@@ -111,6 +111,24 @@ def test_two_atom_closed_form():
     assert got[1] == pytest.approx(want, abs=1e-12)
 
 
+def test_zeros_via_L_takes_one_svd(monkeypatch, double_zero_measure):
+    from blaschke_verify import linalg
+
+    s = build_system_from_measure(double_zero_measure)
+    calls = []
+    singular_values = linalg.singular_values
+
+    def counting(A):
+        calls.append(np.shape(A))
+        return singular_values(A)
+
+    monkeypatch.setattr(linalg, "singular_values", counting)
+    zs = zeros_via_L(s)
+    assert zs.count == 3
+    # only the merge radius of eigenvalues_clustered needs ||L||
+    assert calls == [(3, 3)]
+
+
 def test_double_zero_fixture(double_zero_measure):
     w0 = 0.4 + 0.3j
     other = -3.0 / 14.0 - 1j / 14.0
