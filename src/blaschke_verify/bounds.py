@@ -3,14 +3,18 @@
 The right-hand sides involving the representation-norm of h are replaced by
 the total variation of the explicit representative at hand, which upper
 bounds the infimum over representations; reports label such sides as
-surrogates.  Every check is a pure function, so suites can shard instances
-across workers freely.
+surrogates.  Every check's result depends on its arguments alone, so suites
+can shard instances across workers freely.  The one state kept between calls
+is the numerical-range support of the last pair seen on each thread (see
+_support_of): it lets the trace bound and the Schur chain of one pair share
+one grid, and it is never visible in a result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 
@@ -190,18 +194,44 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     )
 
 
+# the numerical-range support of the last A on each thread; see _support_of
+_LAST_SUPPORT = threading.local()
+
+
+def _support_of(A: np.ndarray) -> NumericalRangeSupport:
+    """The NumericalRangeSupport of a validated A, built once per pair.
+
+    The previous call on this thread is reused when it had the same A, by
+    shape and bytes: check_theorem3 and check_schur_chain of one pair then
+    share the grid and every refined distance.  Only that one support is kept,
+    so a different or mutated A builds anew and nothing outlives the next
+    pair.  Each thread keeps its own, so pool workers never share a support.
+    """
+    key = (A.shape, A.tobytes())
+    if getattr(_LAST_SUPPORT, "key", None) != key:
+        _LAST_SUPPORT.support = NumericalRangeSupport(A)
+        _LAST_SUPPORT.key = key
+    return _LAST_SUPPORT.support
+
+
+def _validated_pair(A, L):
+    A = as_square_matrix(A)
+    L = as_square_matrix(L)
+    if A.shape != L.shape:
+        raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
+    return A, L
+
+
 def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     """Sum of distances from eigenvalues of L to the numerical range of A
     against the trace norm of L - A.
 
     The support-function grid can only under-estimate each distance, which
     loosens the left side; a pass is therefore meaningful and a failure real.
+    Raises DimensionMismatch when the shapes differ or the pair is empty.
     """
-    A = as_square_matrix(A)
-    L = as_square_matrix(L)
-    if A.shape != L.shape:
-        raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
-    support = NumericalRangeSupport(A)
+    A, L = _validated_pair(A, L)
+    support = _support_of(A)
     clusters = eigenvalues_clustered(L)
     lhs = 0.0
     dists = []
@@ -232,15 +262,13 @@ def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
 
     S2 and S3 agree up to the Schur residual (lam_n = <L g_n, g_n>); each
     adjacent link is reported in details["links"], and the top-level report
-    compares S1 with the trace norm.
+    compares S1 with the trace norm.  Raises DimensionMismatch when the shapes
+    differ or the pair is empty.
     """
-    A = as_square_matrix(A)
-    L = as_square_matrix(L)
-    if A.shape != L.shape:
-        raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
+    A, L = _validated_pair(A, L)
+    support = _support_of(A)
     sf = schur_decompose(L)
     lams = sf.eigenvalues
-    support = NumericalRangeSupport(A)
     S1 = float(sum(support.distance(lam) for lam in lams))
     AG = A @ sf.Q
     diagA = np.einsum("ij,ij->j", np.conj(sf.Q), AG)

@@ -333,44 +333,53 @@ def _suite_instance(which: str, args, index: int):
     raise InputError(f"unknown suite {which!r}")
 
 
-def _run_suite(which: str, args):
-    def run_one(index):
-        try:
-            reports, inst = _suite_instance(which, args, index)
-        except BlaschkeVerifyError as exc:
-            reports = [
-                BoundReport(
-                    name=f"{which}-instance-error",
-                    lhs=1.0,
-                    rhs=0.0,
-                    tol=0.0,
-                    details={"error": str(exc)},
-                )
-            ]
-            inst = {"error": str(exc)}
-        return [
-            _with_detail(r, suite=which, instance=index) for r in reports
-        ], inst
+def _run_suite(suites, args):
+    """Reports of every selected suite, suite by suite, each in index order.
 
-    indices = range(args.instances)
+    One pool task runs every suite given (callers keep _SUITES order) for its
+    index, so thm3 and schur of one index meet on one thread and share their
+    pair's numerical-range grid.  A task keeps an instance payload only when
+    that instance failed; its replay dump goes to stderr in report order.
+    """
+
+    def run_one(index):
+        out = []
+        for which in suites:
+            try:
+                reports, inst = _suite_instance(which, args, index)
+            except BlaschkeVerifyError as exc:
+                reports = [
+                    BoundReport(
+                        name=f"{which}-instance-error",
+                        lhs=1.0,
+                        rhs=0.0,
+                        tol=0.0,
+                        details={"error": str(exc)},
+                    )
+                ]
+                inst = {"error": str(exc)}
+            reports = [_with_detail(r, suite=which, instance=index) for r in reports]
+            failed = not all(r.passed for r in _expand(reports))
+            out.append((reports, inst if failed else None))
+        return out
+
     with concurrent.futures.ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(run_one, indices))
+        results = list(pool.map(run_one, range(args.instances)))
     reports = []
-    for index, (reps, inst) in zip(indices, results):
-        reports.extend(reps)
-        if not all(r.passed for r in _expand(reps)):
-            _dump_failure(
-                which, {"seed": args.seed, "index": index, "instance": inst}
-            )
+    for k, which in enumerate(suites):
+        for index, per_suite in enumerate(results):
+            reps, inst = per_suite[k]
+            reports.extend(reps)
+            if inst is not None:
+                _dump_failure(
+                    which, {"seed": args.seed, "index": index, "instance": inst}
+                )
     return reports
 
 
 def cmd_random_suite(args) -> int:
-    which = list(_SUITES) if args.which == "all" else [args.which]
-    reports = []
-    for w in which:
-        reports.extend(_run_suite(w, args))
-    return _emit(args, "random-suite", reports)
+    suites = list(_SUITES) if args.which == "all" else [args.which]
+    return _emit(args, "random-suite", _run_suite(suites, args))
 
 
 def cmd_dilate(args) -> int:
@@ -406,7 +415,7 @@ def cmd_jensen(args) -> int:
 
 
 def cmd_schur_chain(args) -> int:
-    return _emit(args, "schur-chain", _run_suite("schur", args))
+    return _emit(args, "schur-chain", _run_suite(["schur"], args))
 
 
 def cmd_real_line(args) -> int:
@@ -414,7 +423,7 @@ def cmd_real_line(args) -> int:
         atoms = line_atoms_from_jsonable(_load_json(args.path))
         reports = [check_real_line_variant(atoms, tol=_tol(args, "realline"))]
         return _emit(args, "real-line", reports)
-    return _emit(args, "real-line", _run_suite("realline", args))
+    return _emit(args, "real-line", _run_suite(["realline"], args))
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,10 @@ Eigenvalues come from the complex Schur form (unitary Q, upper triangular T),
 singular values from the SVD, and numerical-range geometry from the support
 function max_theta(Re(e^{-i theta} lam) - lambda_max(Re(e^{-i theta} A))).
 All kernels are deterministic and single threaded; callers may run independent
-invocations concurrently on disjoint data.
+invocations concurrently on disjoint data.  The one memo here is the distance
+table of a NumericalRangeSupport: it lives on that object, holds its own copy
+of the matrix, and maps each point only to the value a fresh query would
+compute, so threads sharing a support at worst refine a point twice.
 """
 
 from __future__ import annotations
@@ -200,10 +203,23 @@ class NumericalRangeSupport:
     refinement around the maximizing angle.  Grid truncation can only
     under-estimate the distance, which is the safe direction for every
     inequality this package checks.
+
+    Each distance is memoized per complex(lam) on this object, so a point
+    queried again (the trace bound and the Schur chain of one pair ask for the
+    same eigenvalues) is a lookup.  The support keeps its own copy of A, so
+    the grid and every memoized distance stay those of the matrix it was built
+    from.  The memo is a plain dict with one deterministic value per key:
+    threads sharing a support can only compute a missing entry twice, never
+    read a wrong one.  Raises DimensionMismatch for an empty matrix, whose
+    numerical range is empty.
     """
 
     def __init__(self, A):
-        self.A = as_square_matrix(A)
+        self.A = as_square_matrix(A).copy()
+        if self.A.shape[0] == 0:
+            raise DimensionMismatch(
+                f"numerical range needs a non-empty matrix, got shape {self.A.shape}"
+            )
         self.thetas = 2.0 * np.pi * np.arange(NR_ANGLES) / NR_ANGLES
         ph = np.exp(-1j * self.thetas)
         # stack of Hermitian parts, one batched eigvalsh call
@@ -212,6 +228,7 @@ class NumericalRangeSupport:
             + np.conj(ph)[:, None, None] * self.A.conj().T[None, :, :]
         ) / 2
         self.support = np.linalg.eigvalsh(stack)[:, -1]
+        self._distances: dict[complex, float] = {}
 
     def _support_at(self, theta: float) -> float:
         H = (np.exp(-1j * theta) * self.A + np.exp(1j * theta) * self.A.conj().T) / 2
@@ -219,6 +236,12 @@ class NumericalRangeSupport:
 
     def distance(self, lam: complex) -> float:
         lam = complex(lam)
+        d = self._distances.get(lam)
+        if d is None:
+            d = self._distances[lam] = self._refined_distance(lam)
+        return d
+
+    def _refined_distance(self, lam: complex) -> float:
         vals = (lam * np.exp(-1j * self.thetas)).real - self.support
         k = int(np.argmax(vals))
         best = float(vals[k])

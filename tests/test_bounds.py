@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,7 +16,8 @@ from blaschke_verify.bounds import (
     check_theorem3,
     summarize,
 )
-from blaschke_verify.errors import NotNormalized, ZeroOnBoundary
+from blaschke_verify.errors import DimensionMismatch, NotNormalized, ZeroOnBoundary
+from blaschke_verify.linalg import NumericalRangeSupport
 from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
 from blaschke_verify.random_instances import (
     complex_gaussian,
@@ -130,6 +133,122 @@ def test_schur_chain_identity_is_tight():
     rep = check_schur_chain(A, L)
     ident = [l for l in rep.details["links"] if l["name"] == "diagonal-identity"][0]
     assert abs(ident["lhs"] - ident["rhs"]) < 1e-9
+
+
+@pytest.mark.parametrize("check", [check_theorem3, check_schur_chain])
+def test_trace_checks_reject_bad_shapes(check):
+    with pytest.raises(DimensionMismatch, match=r"\(3, 3\).*\(2, 2\)"):
+        check(np.eye(3, dtype=complex), np.eye(2, dtype=complex))
+    empty = np.zeros((0, 0), complex)
+    with pytest.raises(DimensionMismatch, match=r"\(0, 0\)"):
+        check(empty, empty)
+
+
+def _counting(monkeypatch, cls, name, counts):
+    orig = getattr(cls, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(cls, name, counted)
+
+
+def _fresh_checks(A, L):
+    """Both reports, each after another pair has replaced this thread's grid."""
+    flush = np.eye(2, dtype=complex)
+    reports = []
+    for check in (check_theorem3, check_schur_chain):
+        check_theorem3(flush, flush)
+        reports.append(check(A, L))
+    return reports
+
+
+def test_trace_pair_builds_one_grid(monkeypatch):
+    counts = {"__init__": 0, "_support_at": 0}
+    _counting(monkeypatch, NumericalRangeSupport, "__init__", counts)
+    _counting(monkeypatch, NumericalRangeSupport, "_support_at", counts)
+    # four singleton clusters, three of them at a positive distance
+    A, L = random_lowrank_pair(spawn_rng(38, 0), max_dim=6)
+    fresh = _fresh_checks(A, L)
+    check_theorem3(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+
+    start = dict(counts)
+    r3 = check_theorem3(A, L)
+    refinements = counts["_support_at"] - start["_support_at"]
+    assert refinements > 0
+    chain = check_schur_chain(A, L)
+    # the chain's eigenvalues are the theorem's singleton centres: no new
+    # grid and no new refinement
+    assert counts == {"__init__": start["__init__"] + 1,
+                      "_support_at": start["_support_at"] + refinements}
+    assert [r3, chain] == fresh
+
+    # one changed entry of A, in place, is a different pair
+    A[0, 0] += 0.5
+    before = counts["__init__"]
+    check_theorem3(A, L)
+    assert counts["__init__"] == before + 1
+    A[0, 0] -= 0.5
+
+    # another thread keeps its own support, even for the pair this one holds
+    check_theorem3(A, L)
+    before = counts["__init__"]
+    out = []
+    worker = threading.Thread(target=lambda: out.append(check_theorem3(A, L)))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert counts["__init__"] == before + 1
+    assert out == [r3]
+
+    # the support copies A: after A changes in place, its old entries in a
+    # new array reuse the grid, and refine against the matrix it was built from
+    twice = 2 * L
+    want = _fresh_checks(A, twice)
+    _fresh_checks(A, L)
+    old = A.copy()
+    A[0, 0] += 0.5
+    before = counts["__init__"]
+    assert [check_theorem3(old, twice), check_schur_chain(old, twice)] == want
+    assert counts["__init__"] == before
+    A[0, 0] -= 0.5
+
+    # a point far outside Num(A) is refined once, then looked up
+    support = NumericalRangeSupport(A)
+    refinements = counts["_support_at"]
+    d = support.distance(10.0 + 10.0j)
+    assert d > 0 and counts["_support_at"] > refinements
+    refinements = counts["_support_at"]
+    assert support.distance(10.0 + 10.0j) is d
+    assert counts["_support_at"] == refinements
+
+
+def test_trace_checks_agree_across_threads():
+    """Eight threads on two cores, switching every 10 us, each running both
+    checks over pairs that the other threads run too, give the serial reports."""
+    pairs = [random_lowrank_pair(spawn_rng(39, i), max_dim=5) for i in range(6)]
+    want = [(check_theorem3(A, L), check_schur_chain(A, L)) for A, L in pairs]
+    got = {}
+
+    def work(t):
+        for k in range(len(pairs)):
+            i = (k + t) % len(pairs)
+            A, L = (M.copy() for M in pairs[i])
+            got[t, i] = (check_theorem3(A, L), check_schur_chain(A, L))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert got == {(t, i): want[i] for t in range(8) for i in range(len(pairs))}
 
 
 def test_jensen_centered_example():

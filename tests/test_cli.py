@@ -6,7 +6,8 @@ import warnings
 
 import pytest
 
-from blaschke_verify.cli import main
+from blaschke_verify.cli import _SUITES, main
+from blaschke_verify.linalg import NumericalRangeSupport
 
 from conftest import DATA
 
@@ -59,6 +60,35 @@ def test_threads_env_does_not_change_output(capsys, monkeypatch):
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
     assert out1 == out2
+    # failures in three suites: their dumps on stderr keep suite-then-index
+    # order whatever the pool runs first
+    failing = ["random-suite", "--which", "all", "--instances", "4", "--seed", "1",
+               "--tol", "blaschke=-1", "--tol", "schur=-1"]
+    runs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", threads)
+        runs.append(run(capsys, failing))
+    assert runs[0] == runs[1]
+    code, _, err = runs[0]
+    order = [(d["failed"], d["index"]) for d in map(json.loads, err.splitlines())]
+    assert code == 1
+    assert order == sorted(order, key=lambda d: (_SUITES.index(d[0]), d[1]))
+    assert {"thm1", "schur"} <= {which for which, _ in order}
+
+
+def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch):
+    builds = []
+    init = NumericalRangeSupport.__init__
+
+    def counted(self, A):
+        builds.append(1)  # list.append is atomic across the pool's threads
+        init(self, A)
+
+    monkeypatch.setattr(NumericalRangeSupport, "__init__", counted)
+    monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", "2")
+    code, out, _ = run(capsys, ["random-suite", "--which", "all", "--instances", "6"])
+    assert code == 0
+    assert len(builds) == 6
 
 
 def test_random_suite_all_small(capsys):
