@@ -3,8 +3,11 @@
 1. reciprocal-eigenvalue: eigenvalues of the rank-one perturbation L outside
    the closed disk are exactly the reciprocals of zeros of h, multiplicity
    matching algebraic multiplicity;
-2. argument-principle: adaptive winding-number quadrature with recursive
-   circle-covered quadrisection;
+2. argument-principle: adaptive winding-number quadrature on circles; a cell
+   holding 2 to 4 zeros is read off its own contour (the scaled power sums
+   give a Hankel pencil whose eigenvalues, finished by Newton on h, are the
+   zeros), and a cell whose reading fails its checks, or that holds more, is
+   quadrisected into covering circles;
 3. numerator-roots: companion-matrix roots of the exact rational numerator.
 
 Cross-validating the three on random instances is the core scientific check
@@ -14,6 +17,7 @@ eigensolver.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
 import math
 
@@ -52,6 +56,8 @@ class ZeroSet:
         for loc, mult in self.zeros:
             loc = complex(loc)
             mult = int(mult)
+            if not cmath.isfinite(loc):
+                raise NumericalError(f"zero {loc!r} is not finite")
             if abs(loc) >= 1.0:
                 raise NumericalError(f"zero {loc!r} is not inside the open disk")
             if mult < 1:
@@ -151,6 +157,8 @@ _GUARD_REL = 1e-12
 # reject contours passing closer than this (relative) to an atom pole; the
 # nudge ladder reaches 4e-4 so a rejected radius can always be cleared
 _POLE_CLEARANCE_REL = 2e-4
+# a cell holding 2.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros)
+_HANKEL_MAX = 4
 
 
 def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -162,7 +170,14 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _contour_moments(f: CauchyFunction, center: complex, rho: float):
-    """Zero count and first two zero moments over |w - center| = rho.
+    """Zero count, moments and scaled power sums over |w - center| = rho.
+
+    Returns (k, M1, M2, err, sums): M1 and M2 are the sums of the zeros
+    inside and of their squares, err the moment error estimate below, and
+    sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
+    p = 0..2k when 2 <= k <= 4 (_HANKEL_MAX), otherwise ().  They are the
+    means of e^p g over the final rule, e = (w - center)/rho, so they cost
+    one vector product each and no kernel evaluation.
 
     The integrand is the logarithmic derivative of F = h prod_j (w - zeta_j),
     which has the zeros of h and no poles, so the winding counts zeros alone
@@ -243,7 +258,14 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
             if prev is not None:
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
             if n >= settled_at * 4:
-                return k, M1, M2, err
+                sums = ()
+                if 2 <= k <= _HANKEL_MAX:
+                    sums, eg = [W], g
+                    for _ in range(2 * k):
+                        eg = eg * e
+                        sums.append(complex(np.mean(eg)))
+                    sums = tuple(sums)
+                return k, M1, M2, err, sums
             prev = (M1, M2)
         n *= 2
 
@@ -280,10 +302,59 @@ _CHILD_FACTOR = (1.0 / math.sqrt(2.0)) * 1.000001
 _CELL_FLOOR = 1e-8
 _SPREAD_FLOOR = 1e-8
 _MAX_DEPTH = 60
+# acceptance thresholds of the moment reading, see _hankel_zeros
+_HANKEL_RCOND = 1e-8
+_NEWTON_TOL = 1e-8
+_POWER_SUM_FLOOR = 1e-10
+
+
+def _hankel_zeros(f, center, radius, sums, err, floor):
+    """The k simple zeros of a cell read off its scaled power sums, or None.
+
+    sums[p] = s_p = sum_i ((z_i - center)/radius)^p for p = 0..2k.  The
+    scaled zeros are the eigenvalues of the Hankel pencil (H1, H0) with
+    H0 = [s_{i+j}] and H1 = [s_{i+j+1}] (Delves and Lyness 1967; Kravanja and
+    Van Barel 2000); two Newton steps on h, by direct kernel summation,
+    finish them.  None (the caller quadrisects) when
+      * H0 is singular: s_min <= 1e-8 s_max, a multiple zero or two
+        near-coincident ones;
+      * a Newton step would be longer than the radius, h' = 0 included;
+      * a zero lies outside the cell, two lie within 2 * floor (the spread
+        test would merge them), or the last Newton step exceeds 1e-8 of the
+        radius;
+      * sum_i z_i^(2k) misses s_2k, which the pencil does not use, by more
+        than k * max(err / radius, 1e-10).
+    """
+    k = (len(sums) - 1) // 2
+    s = np.array(sums)
+    idx = np.add.outer(np.arange(k), np.arange(k))
+    H0, H1 = s[idx], s[idx + 1]
+    sv = np.linalg.svd(H0, compute_uv=False)
+    if not sv[-1] > _HANKEL_RCOND * sv[0]:
+        return None
+    z = center + radius * np.linalg.eigvals(np.linalg.solve(H0, H1))
+    for _ in range(2):
+        h, hp = _h_and_deriv_continuation(f, z)
+        # compared before dividing, so h' = 0 is refused, not divided by
+        if not np.all(np.abs(h) < np.abs(hp) * radius):
+            return None
+        step = h / hp
+        z = z - step
+    zt = (z - center) / radius
+    gaps = np.abs(z[:, None] - z[None, :])[np.triu_indices(k, 1)]
+    tol = max(err / radius, _POWER_SUM_FLOOR) * k
+    if (
+        np.all(np.abs(zt) < 1.0)
+        and np.all(gaps > 2.0 * floor)
+        and np.all(np.abs(step) <= _NEWTON_TOL * radius)
+        and abs(complex(np.sum(zt ** (2 * k))) - sums[2 * k]) <= tol
+    ):
+        return [complex(zi) for zi in z]
+    return None
 
 
 def _isolate(f, center, rho, depth, out):
-    radius, k, M1, M2, err = _contour_with_nudges(f, center, rho)
+    radius, k, M1, M2, err, sums = _contour_with_nudges(f, center, rho)
     if k < 0:
         # the integrand is pole-free, so a settled negative count means the
         # quadrature itself went wrong
@@ -297,6 +368,11 @@ def _isolate(f, center, rho, depth, out):
     if (spread <= floor and sane) or radius <= _CELL_FLOOR:
         out.append((complex(centroid), k))
         return
+    if sums:
+        simple = _hankel_zeros(f, center, radius, sums, err, floor)
+        if simple is not None:
+            out.extend((z, 1) for z in simple)
+            return
     if depth >= _MAX_DEPTH:
         raise MaxDepthExceeded(
             f"cell at {center!r} radius {radius!r} still mixed at depth {depth}"
@@ -310,11 +386,18 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
     The top-level contour certifies the total count; recursive quadrisection
-    with covering disks (at most 60 levels deep) then isolates each zero, a
-    cell terminating once its zero-centroid spread is below the moment noise
-    floor (or its radius hits 1e-8).  Covering disks overlap, so duplicate
-    reports within 1e-7 are merged; the surviving multiplicities must add up
-    to the certified total.
+    with covering disks (at most 60 levels deep) then isolates the zeros.  A
+    cell terminates once its zero-centroid spread is below the moment noise
+    floor (or its radius hits 1e-8), reporting the centroid with the cell's
+    count as multiplicity.  A cell still holding 2 to 4 zeros is first read
+    off its own contour: the eigenvalues of the Hankel pencil of its scaled
+    power sums, polished by two Newton steps, are reported as simple zeros
+    when they pass the checks of _hankel_zeros; otherwise (a multiple or
+    near-coincident zero among them, say) the cell is quadrisected.  Covering
+    disks overlap, so duplicate reports within 1e-7 are merged; the surviving
+    multiplicities must add up to the certified total.  The route evaluates
+    h by kernel summation only and solves no eigenproblem but its own k x k
+    pencils; it never touches the numerator or L.
     Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  Neither is a reference for this one; the numerator roots in
@@ -322,7 +405,7 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     """
     if not 0.0 < radius <= CONTOUR_CAP:
         raise ValueError(f"radius must lie in (0, {CONTOUR_CAP}]")
-    cap, k_top, _, _, _ = _contour_with_nudges(f, 0.0, radius)
+    cap, k_top, _, _, _, _ = _contour_with_nudges(f, 0.0, radius)
     if k_top < 0:
         raise NumericalError(f"top-level contour winding {k_top} is negative")
     if k_top == 0:

@@ -7,6 +7,7 @@ evidence each is right; hand-computable examples pin the absolute answers.
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -50,6 +51,9 @@ def test_zero_set_validation():
         ZeroSet(zeros=((1.0 + 0j, 1),), method="x")
     with pytest.raises(NumericalError):
         ZeroSet(zeros=((0.5 + 0j, 0),), method="x")
+    for bad in ("nan", "inf", "-infj", "0.5+nanj"):
+        with pytest.raises(NumericalError, match="not finite"):
+            ZeroSet(zeros=((complex(bad), 1),), method="x")
 
 
 def test_blaschke_sum_hand_values():
@@ -198,7 +202,7 @@ def test_contour_nudges_past_boundary_zero():
     # must settle on a nearby clean radius instead of failing
     c = 1.0 / 0.999 - 1.0
     f = shifted(dirac(-1.0, c))
-    r, k, M1, M2, err = zeros_mod._contour_with_nudges(f, 0.0, 0.999)
+    r, k, M1, M2, err, sums = zeros_mod._contour_with_nudges(f, 0.0, 0.999)
     assert r != 0.999
     assert abs(r / 0.999 - 1.0) <= 5e-4
     assert k in (0, 1)
@@ -274,7 +278,14 @@ def _reference_contour_moments(f, center, rho):
             if prev is not None:
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
             if n >= settled_at * 4:
-                return k, M1, M2, err
+                sums = ()
+                if 2 <= k <= zeros_mod._HANKEL_MAX:
+                    sums, eg = [W], g
+                    for _ in range(2 * k):
+                        eg = eg * e
+                        sums.append(complex(np.mean(eg)))
+                    sums = tuple(sums)
+                return k, M1, M2, err, sums
             prev = (M1, M2)
         n *= 2
 
@@ -328,18 +339,19 @@ def test_nested_contour_matches_unnested_bytes(monkeypatch):
         zeros_via_argument_principle(f)
     monkeypatch.undo()
 
-    raised = swallowed = nudged = 0
+    raised = swallowed = nudged = summed = 0
     for i, (f, center, rho, got, _) in enumerate(visited):
         assert got == _outcome(_reference_contour_moments, f, center, rho), (
             f.mode, center, rho,
         )
         raised += not got.startswith("(")
+        summed += got.startswith("(") and not got.endswith(", ())")
         swallowed += bool(np.any(np.abs(f.source.points - center) < rho))
         # the nudge ladder retries the same center at another radius
         nudged += i > 0 and visited[i - 1][0] is f and visited[i - 1][1] == center
     # the cases reach the regimes the nesting must not perturb
     assert max(v[4] for v in visited) >= 16384
-    assert raised >= 1 and swallowed >= 1 and nudged >= 1
+    assert raised >= 1 and swallowed >= 1 and nudged >= 1 and summed >= 1
 
 
 def test_guard_sees_nodes_new_at_second_level():
@@ -355,3 +367,172 @@ def test_guard_sees_nodes_new_at_second_level():
     for contour in (zeros_mod._contour_moments, _reference_contour_moments):
         with pytest.raises(zeros_mod._NearZeroContour):
             contour(f, complex(center), rho)
+
+
+# ---------------------------------------------------------------------------
+# reading a cell's zeros off its power sums
+
+
+def direct_with_zeros(zs, points):
+    """Direct-mode h = prod(w - z_i) / prod(1 - w conj(p_j)), one atom per zero.
+
+    The weights are the residues N(p_j) / prod_{k != j} (1 - p_j conj(p_k))
+    of the partial fractions, and the Lebesgue part is h at infinity.
+    """
+    pts = [UnitPoint(p).value for p in points]
+    weights = [
+        np.prod([p - z for z in zs])
+        / np.prod([1.0 - p * np.conj(q) for q in pts if q != p])
+        for p in pts
+    ]
+    leb = 1.0 / np.prod([-np.conj(q) for q in pts])
+    mu = AtomicMeasure(
+        atoms=tuple((UnitPoint(p), complex(c)) for p, c in zip(pts, weights)),
+        lebesgue=complex(leb),
+    )
+    return CauchyFunction(source=mu, mode="direct")
+
+
+CELL_ZEROS = [0.3 + 0.2j, -0.1 + 0.4j, 0.25 + 0.55j, 0.05 + 0.05j]
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
+    zs = CELL_ZEROS[:k]
+    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
+    centers = []
+    real = zeros_mod._contour_with_nudges
+
+    def spy(f, center, rho):
+        centers.append(center)
+        return real(f, center, rho)
+
+    monkeypatch.setattr(zeros_mod, "_contour_with_nudges", spy)
+    out = []
+    zeros_mod._isolate(f, 0.1 + 0.3j, 0.6, 1, out)
+    assert centers == [0.1 + 0.3j]  # the cell's own contour and no child
+    assert [m for _, m in out] == [1] * k
+    got = sorted((z for z, _ in out), key=lambda z: (z.real, z.imag))
+    want = sorted(zs, key=lambda z: (z.real, z.imag))
+    assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+
+
+def _cell_moments(f, center, rho):
+    radius, k, _, _, err, sums = zeros_mod._contour_with_nudges(f, center, rho)
+    return radius, k, err, sums
+
+
+def test_reading_refuses_a_wrong_power_sum_or_close_zeros():
+    f = direct_with_zeros(CELL_ZEROS[:3], [1, 1j, -1])
+    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6)
+    assert k == 3 and len(sums) == 7
+    cell = (f, 0.1 + 0.3j, radius)
+    assert zeros_mod._hankel_zeros(*cell, sums, err, 1e-8) is not None
+    # the pencil does not use s_2k, so moving it is seen by the check alone
+    moved = sums[:-1] + (sums[-1] + 1e-6,)
+    assert zeros_mod._hankel_zeros(*cell, moved, err, 1e-8) is None
+    # zeros closer than twice the spread floor are left to quadrisection
+    assert zeros_mod._hankel_zeros(*cell, sums, err, 0.5) is None
+
+
+def test_newton_refuses_zero_derivative(monkeypatch):
+    f = direct_with_zeros(CELL_ZEROS[:2], [1, -1])
+    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6)
+    assert k == 2
+
+    def flat(f, w):
+        return np.ones_like(w), np.zeros_like(w)
+
+    monkeypatch.setattr(zeros_mod, "_h_and_deriv_continuation", flat)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert zeros_mod._hankel_zeros(f, 0.1 + 0.3j, radius, sums, err, 1e-8) is None
+
+
+def _spy_readings(monkeypatch):
+    """Records (sums, result, number of Newton evaluations) of each reading."""
+    readings = []
+    real = zeros_mod._hankel_zeros
+    evaluate = zeros_mod._h_and_deriv_continuation
+    newton = []
+
+    def spy(f, center, radius, sums, err, floor):
+        newton.clear()
+        out = real(f, center, radius, sums, err, floor)
+        readings.append((sums, out, len(newton)))
+        return out
+
+    def counting(f, w):
+        newton.append(w.size)
+        return evaluate(f, w)
+
+    monkeypatch.setattr(zeros_mod, "_hankel_zeros", spy)
+    monkeypatch.setattr(zeros_mod, "_h_and_deriv_continuation", counting)
+    return readings
+
+
+def _singular(sums):
+    k = (len(sums) - 1) // 2
+    H0 = np.array(sums)[np.add.outer(np.arange(k), np.arange(k))]
+    sv = np.linalg.svd(H0, compute_uv=False)
+    return sv[-1] <= zeros_mod._HANKEL_RCOND * sv[0]
+
+
+def test_double_zero_cell_falls_back(monkeypatch, double_zero_measure):
+    # one cell holds the double zero and the simple one: H0 is singular, so
+    # the cell is quadrisected and its children report the multiplicities
+    readings = _spy_readings(monkeypatch)
+    out = []
+    zeros_mod._isolate(shifted(double_zero_measure), 0.1 + 0.1j, 0.6, 1, out)
+    # refused by the singular-H0 test, before any Newton step
+    assert len(readings[0][0]) == 7 and _singular(readings[0][0])
+    assert readings[0][1:] == (None, 0)
+    w0, other = 0.4 + 0.3j, -3.0 / 14.0 - 1j / 14.0
+    assert {m for z, m in out if abs(z - w0) < 1e-5} == {2}
+    assert {m for z, m in out if abs(z - other) < 1e-7} == {1}
+    assert all(min(abs(z - w0), abs(z - other)) < 1e-5 for z, _ in out)
+
+
+def test_near_coincident_zeros_fall_back(monkeypatch):
+    # zeros 1e-9 apart, and a third zero in the same top-level cell
+    z1 = 0.3 + 0.2j
+    f = direct_with_zeros([z1, z1 + 1e-9, -0.1 + 0.4j], [1, 1j, -1])
+    readings = _spy_readings(monkeypatch)
+    arg = zeros_via_argument_principle(f)
+    assert any(len(s) == 7 and _singular(s) and (r, n) == (None, 0) for s, r, n in readings)
+    roots = zeros_via_numerator_roots(f)
+    ok, worst = match_zero_sets(arg, roots)
+    assert ok, (worst, arg.zeros, roots.zeros)
+    assert sorted(m for _, m in arg.zeros) == [1, 2]
+
+
+def _newton_mp(f, z):
+    """z refined by Newton on h in 50-digit arithmetic."""
+    import mpmath
+
+    mu = f.source
+    with mpmath.workdps(50):
+        zbar = [mpmath.mpc(complex(p)).conjugate() for p in mu.points]
+        wts = [mpmath.mpc(complex(c)) for c in mu.weights]
+        w = mpmath.mpc(z)
+        for _ in range(50):
+            K = mpmath.mpc(mu.lebesgue) + sum(c / (1 - w * p) for p, c in zip(zbar, wts))
+            Kp = sum(c * p / (1 - w * p) ** 2 for p, c in zip(zbar, wts))
+            h, hp = (K, Kp) if f.mode == "direct" else (1 + w * K, K + w * Kp)
+            step = h / hp
+            w -= step
+            if abs(step) < mpmath.mpf(10) ** -40:
+                break
+        return complex(w)
+
+
+@pytest.mark.parametrize("mode", ["shifted", "direct"])
+def test_contour_zeros_of_32_atoms_match_mpmath_newton(mode):
+    # the draw random_atomic_measure(spawn_rng(1032, 1), 32, 32) scaled to
+    # unit mass; its zeros are simple, and many cells hold several of them
+    with open(DATA / "measure_32_atoms.json") as fh:
+        f = CauchyFunction(source=measure_from_jsonable(json.load(fh)), mode=mode)
+    zs = zeros_via_argument_principle(f)
+    assert zs.count >= 18 and all(m == 1 for _, m in zs.zeros)
+    for z, _ in zs.zeros:
+        assert abs(z - _newton_mp(f, z)) < 1e-12, z
