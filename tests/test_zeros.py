@@ -471,21 +471,15 @@ def _spy_readings(monkeypatch):
     return readings
 
 
-def _singular(sums):
-    k = (len(sums) - 1) // 2
-    H0 = np.array(sums)[np.add.outer(np.arange(k), np.arange(k))]
-    sv = np.linalg.svd(H0, compute_uv=False)
-    return sv[-1] <= zeros_mod._HANKEL_RCOND * sv[0]
-
-
 def test_double_zero_cell_falls_back(monkeypatch, double_zero_measure):
     # one cell holds the double zero and the simple one: H0 is singular, so
     # the cell is quadrisected and its children report the multiplicities
     readings = _spy_readings(monkeypatch)
     out = []
     zeros_mod._isolate(shifted(double_zero_measure), 0.1 + 0.1j, 0.6, 1, out)
-    # refused by the singular-H0 test, before any Newton step
-    assert len(readings[0][0]) == 7 and _singular(readings[0][0])
+    # a 3-zero cell refused before any Newton step: only the singular-H0
+    # test refuses that early
+    assert len(readings[0][0]) == 7
     assert readings[0][1:] == (None, 0)
     w0, other = 0.4 + 0.3j, -3.0 / 14.0 - 1j / 14.0
     assert {m for z, m in out if abs(z - w0) < 1e-5} == {2}
@@ -499,7 +493,8 @@ def test_near_coincident_zeros_fall_back(monkeypatch):
     f = direct_with_zeros([z1, z1 + 1e-9, -0.1 + 0.4j], [1, 1j, -1])
     readings = _spy_readings(monkeypatch)
     arg = zeros_via_argument_principle(f)
-    assert any(len(s) == 7 and _singular(s) and (r, n) == (None, 0) for s, r, n in readings)
+    # a 3-zero cell refused before any Newton step, i.e. by the singular-H0 test
+    assert any(len(s) == 7 and (r, n) == (None, 0) for s, r, n in readings)
     roots = zeros_via_numerator_roots(f)
     ok, worst = match_zero_sets(arg, roots)
     assert ok, (worst, arg.zeros, roots.zeros)
