@@ -226,8 +226,10 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     """Sum of distances from eigenvalues of L to the numerical range of A
     against the trace norm of L - A.
 
-    The support-function grid can only under-estimate each distance, which
-    loosens the left side; a pass is therefore meaningful and a failure real.
+    Each distance is the lower end of a certified bracket that is closed to
+    NR_BRACKET_TOL * max(1, |lam|) (see NumericalRangeSupport): it never
+    exceeds the true distance and is within that width of it.  So a failure
+    is real, and a pass holds up to that width per eigenvalue.
     Raises DimensionMismatch when the shapes differ or the pair is empty.
     """
     A, L = _validated_pair(A, L)

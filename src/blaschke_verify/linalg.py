@@ -3,8 +3,11 @@
 Eigenvalues come from the complex Schur form (unitary Q, upper triangular T),
 singular values from the SVD, and numerical-range geometry from the support
 function max_theta(Re(e^{-i theta} lam) - lambda_max(Re(e^{-i theta} A))).
+Each distance to a numerical range is the lower end of a certified bracket
+closed to NR_BRACKET_TOL * max(1, |lam|): it never exceeds the true distance
+and is within that width of it (see NumericalRangeSupport).
 All kernels are deterministic and single threaded; callers may run independent
-invocations concurrently on disjoint data.  The one memo here is the distance
+invocations concurrently on disjoint data.  The one memo here is the bracket
 table of a NumericalRangeSupport: it lives on that object, holds its own copy
 of the matrix, and maps each point only to the value a fresh query would
 compute, so threads sharing a support at worst refine a point twice.
@@ -12,8 +15,8 @@ compute, so threads sharing a support at worst refine a point twice.
 
 from __future__ import annotations
 
+import cmath
 import dataclasses
-import math
 
 import numpy as np
 import scipy.linalg
@@ -30,7 +33,12 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # Hermitian and PSD slack of psd_sqrt, relative to max(||H||, 1)
 PSD_TOL = 1e-10
 # support-function grid of NumericalRangeSupport
-NR_ANGLES = 720
+NR_ANGLES = 128
+# closing width of a distance bracket, relative to max(1, |lam|)
+NR_BRACKET_TOL = 1e-13
+# single-angle evaluations one distance may take before NoConvergence
+NR_MAX_STEPS = 200
+_TINY = np.finfo(float).tiny
 
 
 def as_square_matrix(A) -> np.ndarray:
@@ -189,25 +197,63 @@ def psd_sqrt(H) -> np.ndarray:
     return (S + S.conj().T) / 2
 
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+def _segment_distance(z: complex, a: complex, b: complex) -> float:
+    """Distance from z to the segment [a, b], which may be the point a == b."""
+    e = b - a
+    w = z - a
+    ee = e.real * e.real + e.imag * e.imag
+    t = 0.0 if ee == 0.0 else min(1.0, max(0.0, (w.real * e.real + w.imag * e.imag) / ee))
+    return abs(w - t * e)
 
 
 class NumericalRangeSupport:
-    """Support function of the numerical range of A on a grid of 720 angles.
+    """Distances to the numerical range W(A), each closed in a certified bracket.
 
-    The numerical range is convex (Toeplitz-Hausdorff), so
-    dist(lam, Num(A)) = max_theta (Re(e^{-i theta} lam) - s(theta)) clamped at
-    0, where s(theta) = lambda_max((e^{-i theta} A + e^{i theta} A*)/2).  The
-    grid is evaluated once per matrix with a batched Hermitian eigensolver;
-    distance queries then cost one vectorized pass plus a golden-section
-    refinement around the maximizing angle.  Grid truncation can only
-    under-estimate the distance, which is the safe direction for every
-    inequality this package checks.
+    W(A) is convex (Toeplitz-Hausdorff), so dist(lam, W(A)) is the maximum of
+    0 and f(theta) = Re(e^{-i theta} lam) - s(theta), where s(theta) is the
+    largest eigenvalue of H(theta) = (e^{-i theta} A + e^{i theta} A*)/2.  The
+    top unit eigenvector v of H(theta) gives the boundary point p = v*Av of
+    W(A) (Johnson, SIAM J. Numer. Anal. 15, 1978) and, by Hellmann-Feynman,
+    the slope s'(theta) = v*H'(theta)v = Im(e^{-i theta} p).  One batched
+    Hermitian eigensolve gives s and p on NR_ANGLES angles; the p, in angle
+    order, span a convex polygon inside W(A).  Rounding scatters the copies
+    of one vertex of W(A), the boundary point of a whole arc of angles; points
+    within NR_BRACKET_TOL * max(1, r/16) of the previous one (r the numerical
+    radius) are merged, which moves the polygon by less than a closing width.
 
-    Each distance is memoized per complex(lam) on this object, so a point
+    Each query lam gets a bracket lo <= dist(lam, W(A)) <= hi.  Its lower end
+    is the best f evaluated, clamped at 0; its upper end is the distance from
+    lam to boundary points: the polygon, or the chord [p_a, p_b] between the
+    ends of the current angle bracket, which closes the bracket at a kink of f
+    too (lam nearest to an edge of W(A)).  There are three cases:
+
+    - lam inside the polygon: the distance is 0, and certified;
+    - some grid angle has f > 0: f is unimodal where it is positive (its
+      superlevel sets there are arcs of separating directions), so its
+      maximum lies within one grid step of the grid argmax.  A safeguarded
+      secant on f'(theta) = Im((lam - p) e^{-i theta}) shrinks that angle
+      bracket by the sign of f'.  When the secant leaves the bracket, or its
+      last step did not halve |f'| (as at a kink, where f' jumps), the step
+      bisects the bracket instead;
+    - otherwise the query is ambiguous: the polygon edges that lam lies
+      outside are bisected in angle until lam falls inside the refined
+      polygon, an angle gives f > 0 (then as above), or the bracket closes.
+      Such a query is never reported as 0 without this step.
+
+    A bracket is closed when hi - lo <= NR_BRACKET_TOL * max(1, |lam|); when
+    the numerical radius r of A exceeds 16, the target is at least
+    NR_BRACKET_TOL * r / 16, which keeps it above the rounding of s and p.
+    distance() returns the lower end, so it never exceeds the true distance
+    (up to the rounding of s, about eps * r) and is within the closing width
+    of it: a check that fails on these distances fails for the true ones,
+    and a pass holds up to that width.  A bracket still open after
+    NR_MAX_STEPS single-angle evaluations raises NoConvergence; no unclosed
+    bracket is ever returned.
+
+    Each bracket is memoized per complex(lam) on this object, so a point
     queried again (the trace bound and the Schur chain of one pair ask for the
     same eigenvalues) is a lookup.  The support keeps its own copy of A, so
-    the grid and every memoized distance stay those of the matrix it was built
+    the grid and every memoized bracket stay those of the matrix it was built
     from.  The memo is a plain dict with one deterministic value per key:
     threads sharing a support can only compute a missing entry twice, never
     read a wrong one.  Raises DimensionMismatch for an empty matrix, whose
@@ -220,55 +266,151 @@ class NumericalRangeSupport:
             raise DimensionMismatch(
                 f"numerical range needs a non-empty matrix, got shape {self.A.shape}"
             )
+        self._AH = self.A.conj().T.copy()
         self.thetas = 2.0 * np.pi * np.arange(NR_ANGLES) / NR_ANGLES
-        ph = np.exp(-1j * self.thetas)
-        # stack of Hermitian parts, one batched eigvalsh call
+        self._phases = np.exp(-1j * self.thetas)
+        # stack of Hermitian parts, one batched eigh call
         stack = (
-            ph[:, None, None] * self.A[None, :, :]
-            + np.conj(ph)[:, None, None] * self.A.conj().T[None, :, :]
+            self._phases[:, None, None] * self.A[None, :, :]
+            + np.conj(self._phases)[:, None, None] * self._AH[None, :, :]
         ) / 2
-        self.support = np.linalg.eigvalsh(stack)[:, -1]
-        self._distances: dict[complex, float] = {}
+        w, V = np.linalg.eigh(stack)
+        self.support = w[:, -1]
+        v = V[:, :, -1]
+        self._floor = max(1.0, float(np.max(np.abs(self.support))) / 16)
+        self._gap = NR_BRACKET_TOL * self._floor
+        self.points = _merge_repeats(np.sum(v.conj() * (v @ self.A.T), axis=1), self._gap)
+        self._brackets: dict[complex, tuple[float, float]] = {}
 
-    def _support_at(self, theta: float) -> float:
-        H = (np.exp(-1j * theta) * self.A + np.exp(1j * theta) * self.A.conj().T) / 2
-        return float(np.linalg.eigvalsh(H)[-1])
+    def _support_at(self, theta: float) -> tuple[float, float, complex]:
+        """(s, s', p) at one angle: support, its slope and the boundary point."""
+        ph = cmath.exp(-1j * theta)
+        w, V = np.linalg.eigh((ph * self.A + ph.conjugate() * self._AH) / 2)
+        v = V[:, -1]
+        p = complex(v.conj() @ (self.A @ v))
+        return float(w[-1]), (ph * p).imag, p
 
     def distance(self, lam: complex) -> float:
+        """dist(lam, W(A)): the lower end of its closed bracket."""
+        return self.bracket(lam)[0]
+
+    def bracket(self, lam: complex) -> tuple[float, float]:
+        """(lo, hi) with lo <= dist(lam, W(A)) <= hi, closed as described above."""
         lam = complex(lam)
-        d = self._distances.get(lam)
-        if d is None:
-            d = self._distances[lam] = self._refined_distance(lam)
-        return d
+        br = self._brackets.get(lam)
+        if br is None:
+            br = self._brackets[lam] = self._closed_bracket(lam)
+        return br
 
-    def _refined_distance(self, lam: complex) -> float:
-        vals = (lam * np.exp(-1j * self.thetas)).real - self.support
+    def _closed_bracket(self, lam: complex) -> tuple[float, float]:
+        tol = NR_BRACKET_TOL * max(self._floor, abs(lam))
+        vals = (lam * self._phases).real - self.support
         k = int(np.argmax(vals))
-        best = float(vals[k])
-        if best > -1e-13:
-            step = 2.0 * np.pi / NR_ANGLES
+        if vals[k] > 0:
+            return self._secant(lam, tol, self.thetas, self.points, k, float(vals[k]),
+                                NR_MAX_STEPS)
+        return self._settle(lam, tol)
 
-            def f(theta):
-                return (lam * np.exp(-1j * theta)).real - self._support_at(theta)
+    def _settle(self, lam: complex, tol: float) -> tuple[float, float]:
+        """No evaluated angle has f > 0: refine the polygon next to lam."""
+        angles, pts, steps = self.thetas, self.points, NR_MAX_STEPS
+        while True:
+            w = lam - pts
+            e = np.roll(pts, -1) - pts
+            cross = e.real * w.imag - e.imag * w.real
+            # lam is inside a counterclockwise polygon of positive area when
+            # it is on the inner side of every edge; a degenerate polygon has
+            # every cross product 0 and is left to the distance below
+            if np.all(cross >= 0) and np.any(cross > 0):
+                return 0.0, 0.0
+            ee = e.real * e.real + e.imag * e.imag
+            t = np.clip((w.real * e.real + w.imag * e.imag) / np.maximum(ee, _TINY), 0.0, 1.0)
+            hi = float(np.min(np.abs(w - t * e)))
+            if hi <= tol:
+                return 0.0, hi
+            out = np.flatnonzero(cross < 0)
+            if out.size == 0 or out.size > steps:
+                raise NoConvergence(
+                    f"distance bracket [0, {hi:.3e}] at {lam} did not close "
+                    f"within {NR_MAX_STEPS} evaluations"
+                )
+            nxt = np.roll(angles, -1)
+            nxt[-1] += 2.0 * np.pi
+            mids = (angles[out] + nxt[out]) / 2
+            evals = [self._support_at(float(t)) for t in mids]
+            steps -= out.size
+            f = [(lam * cmath.exp(-1j * t)).real - s for t, (s, _, _) in zip(mids, evals)]
+            angles = np.insert(angles, out + 1, mids)
+            pts = _merge_repeats(np.insert(pts, out + 1, [p for _, _, p in evals]), self._gap)
+            j = int(np.argmax(f))
+            if f[j] > 0:
+                return self._secant(lam, tol, angles, pts, int(out[j]) + 1 + j, f[j], steps)
 
-            # golden-section maximization on the bracket around the grid argmax;
-            # the 48 steps shrink it from 2*step to 2.6e-12
-            a = self.thetas[k] - step
-            b = self.thetas[k] + step
-            x1 = b - _GOLDEN * (b - a)
-            x2 = a + _GOLDEN * (b - a)
-            f1, f2 = f(x1), f(x2)
-            for _ in range(48):
-                if f1 < f2:
-                    a, x1, f1 = x1, x2, f2
-                    x2 = a + _GOLDEN * (b - a)
-                    f2 = f(x2)
-                else:
-                    b, x2, f2 = x2, x1, f1
-                    x1 = b - _GOLDEN * (b - a)
-                    f1 = f(x1)
-            best = max(best, f1, f2)
-        return max(best, 0.0)
+    def _secant(self, lam, tol, angles, pts, k, lo, steps) -> tuple[float, float]:
+        """Close the bracket around angles[k], where f = lo > 0 is the largest
+        evaluated value and both neighbours are lower."""
+        m = angles.size
+        a, pa = float(angles[k - 1]) - (2.0 * np.pi if k == 0 else 0.0), complex(pts[k - 1])
+        b, pb = (float(angles[k + 1]), complex(pts[k + 1])) if k + 1 < m else (
+            float(angles[0]) + 2.0 * np.pi, complex(pts[0]))
+        c, pc = float(angles[k]), complex(pts[k])
+
+        def slope(t, p):
+            return ((lam - p) * cmath.exp(-1j * t)).imag
+
+        hi = min(_segment_distance(lam, pa, pc), _segment_distance(lam, pc, pb))
+        dc = slope(c, pc)
+        if dc > 0:
+            x0, d0, a, pa = b, slope(b, pb), c, pc
+        else:
+            x0, d0, b, pb = a, slope(a, pa), c, pc
+        x1, d1, best, stalled = c, dc, c, False
+        while hi - lo > tol:
+            if steps == 0:
+                raise NoConvergence(
+                    f"distance bracket [{lo:.17g}, {hi:.17g}] at {lam} did not "
+                    f"close within {NR_MAX_STEPS} evaluations"
+                )
+            t = a
+            if not stalled and d1 != d0:
+                t = x1 - d1 * (x1 - x0) / (d1 - d0)
+            secant = a < t < b
+            if not secant:
+                t = (a + b) / 2
+            s, ds, p = self._support_at(t)
+            steps -= 1
+            z = lam * cmath.exp(-1j * t)
+            f, d = z.real - s, z.imag - ds
+            if f > lo:
+                lo, best = f, t
+            # where f > 0 the sign of f' points to the maximum; elsewhere the
+            # maximum lies on the side of the best angle
+            if (d > 0) if f > 0 else (t < best):
+                a, pa = t, p
+            else:
+                b, pb = t, p
+            # a secant step that did not halve |f'| has stalled
+            stalled = secant and not abs(d) <= abs(d1) / 2
+            hi = min(hi, _segment_distance(lam, pa, pb))
+            x0, d0, x1, d1 = x1, d1, t, d
+        return lo, max(lo, hi)
+
+
+def _merge_repeats(pts: np.ndarray, gap: float) -> np.ndarray:
+    """Cyclic boundary points with each run of repeats merged into its first.
+
+    A vertex of W(A) is the boundary point of a whole arc of angles, and
+    rounding scatters its copies by about eps*|A|.  The edges between them
+    would point anywhere, and lam could lie outside one of them from any
+    side; merged copies (within gap of the previous point) make them edges of
+    length 0, which no point lies outside.
+    """
+    same = np.abs(pts - np.roll(pts, 1)) <= gap
+    if same.all():
+        return np.full_like(pts, pts[0])
+    s = int(np.argmin(same))  # pts[s] starts a run
+    starts = np.where(np.roll(~same, -s), np.arange(pts.size), 0)
+    return np.roll(np.roll(pts, -s)[np.maximum.accumulate(starts)], s)
 
 
 def polynomial_roots(coeffs) -> np.ndarray:

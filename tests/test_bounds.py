@@ -184,12 +184,14 @@ def test_trace_pair_builds_one_grid(monkeypatch):
                       "_support_at": start["_support_at"] + refinements}
     assert [r3, chain] == fresh
 
-    # one changed entry of A, in place, is a different pair
+    # one changed entry of A, in place, is a different pair; the entry is
+    # put back exactly (x + 0.5 - 0.5 need not be x), so A is the pair again
+    a00 = A[0, 0]
     A[0, 0] += 0.5
     before = counts["__init__"]
     check_theorem3(A, L)
     assert counts["__init__"] == before + 1
-    A[0, 0] -= 0.5
+    A[0, 0] = a00
 
     # another thread keeps its own support, even for the pair this one holds
     check_theorem3(A, L)
@@ -212,7 +214,7 @@ def test_trace_pair_builds_one_grid(monkeypatch):
     before = counts["__init__"]
     assert [check_theorem3(old, twice), check_schur_chain(old, twice)] == want
     assert counts["__init__"] == before
-    A[0, 0] -= 0.5
+    A[0, 0] = a00
 
     # a point far outside Num(A) is refined once, then looked up
     support = NumericalRangeSupport(A)

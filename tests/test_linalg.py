@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from blaschke_verify.errors import NonFiniteValue, NotHermitian, NotPSD
 from blaschke_verify.linalg import (
+    NR_BRACKET_TOL,
     NumericalRangeSupport,
     cluster_points,
     eigenvalues_clustered,
@@ -13,6 +15,7 @@ from blaschke_verify.linalg import (
     singular_values,
     trace_norm,
 )
+from blaschke_verify.random_instances import random_lowrank_pair, spawn_rng
 
 
 def rand_complex(rng, shape):
@@ -164,6 +167,102 @@ def test_numerical_range_nilpotent():
     for _ in range(20):
         z = 2.0 * np.exp(1j * rng.uniform(0, 2 * np.pi))
         assert s.distance(z) == pytest.approx(1.5, abs=1e-8)
+
+
+def _segment_distance(z, a, b):
+    e = b - a
+    t = min(1.0, max(0.0, ((z - a) * np.conj(e)).real / abs(e) ** 2))
+    return abs(z - a - t * e)
+
+
+@pytest.mark.parametrize("offset", [0.5, 1e-3])
+def test_numerical_range_distance_matches_hull_of_normal_matrix(offset):
+    # A = U diag(mu) U* is normal, so W(A) is the convex hull of mu, and the
+    # distance of an outside point is its distance to the nearest hull edge.
+    # Points off an edge's interior sit at a kink of the support gap f, where
+    # the maximizing angle is the edge normal; points off a vertex do not.
+    rng = np.random.default_rng(21)
+    mu = 0.9 * np.exp(2j * np.pi * rng.random(7)) * np.sqrt(rng.random(7))
+    U, _ = np.linalg.qr(rand_complex(rng, (7, 7)))
+    s = NumericalRangeSupport(U @ np.diag(mu) @ U.conj().T)
+    hull = mu[ConvexHull(np.column_stack([mu.real, mu.imag])).vertices]  # ccw
+    m = hull.size
+    normals = [-1j * (hull[(k + 1) % m] - hull[k]) / abs(hull[(k + 1) % m] - hull[k])
+               for k in range(m)]
+    points = []
+    for k in range(m):
+        # off the middle of edge k, and off vertex k between its edge normals
+        points.append((hull[k] + hull[(k + 1) % m]) / 2 + offset * normals[k])
+        bisector = normals[k - 1] + normals[k]
+        points.append(hull[k] + offset * bisector / abs(bisector))
+    for lam in points:
+        want = min(_segment_distance(lam, hull[k], hull[(k + 1) % m]) for k in range(m))
+        assert want == pytest.approx(offset, rel=1e-9)
+        lo, hi = s.bracket(lam)
+        assert s.distance(lam) == lo
+        assert abs(lo - want) <= 1e-12
+        assert 0.0 <= hi - lo <= NR_BRACKET_TOL * max(1.0, abs(lam))
+    assert s.bracket(np.mean(mu)) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("offset", [0.5, 1e-3])
+def test_numerical_range_distance_matches_cone(offset):
+    # W(A) for A = [[0, 1], [0, 0]] (+) [c] is the hull of the disk |z| <= r,
+    # r = 1/2, and the point c: a cone whose flat edges run from c to the
+    # tangent points r e^{+-i phi}, cos(phi) = r/c.  No grid angle is the
+    # edge normal, so only refined boundary points close a bracket there.
+    c, r = 1.5, 0.5
+    A = np.zeros((3, 3), dtype=complex)
+    A[0, 1], A[2, 2] = 1.0, c
+    s = NumericalRangeSupport(A)
+    phi = np.arccos(r / c)
+    points = [c + offset, (r + offset) * np.exp(2.5j)]
+    for sign in (1, -1):
+        tangent = r * np.exp(sign * 1j * phi)
+        points += [w * c + (1 - w) * tangent + offset * np.exp(sign * 1j * phi)
+                   for w in (0.1, 0.5, 0.9)]
+    for lam in points:
+        lo, hi = s.bracket(lam)
+        assert abs(lo - offset) <= 1e-12
+        assert 0.0 <= hi - lo <= NR_BRACKET_TOL * max(1.0, abs(lam))
+    assert s.bracket(0.5 * c) == (0.0, 0.0)
+
+
+def _ambiguous_on_grid(support, lam):
+    """lam is outside the polygon of the grid's boundary points, and no grid
+    angle separates it from W(A)."""
+    gap = (lam * np.exp(-1j * support.thetas)).real - support.support
+    p = support.points
+    e = np.roll(p, -1) - p
+    cross = e.real * (lam - p).imag - e.imag * (lam - p).real
+    return gap.max() <= 0 and cross.min() < 0
+
+
+@pytest.mark.parametrize("seed, index, want", [
+    # a 200000-angle grid gives 1.5577646e-3 as a lower bound
+    (4, 175, 1.5577653e-3),
+    (2, 209, 0.0),
+    (6, 73, 0.0),
+    (6, 159, 0.0),
+    (7, 29, 0.0),
+])
+def test_ambiguous_grid_queries_are_settled(seed, index, want):
+    # each pair has one eigenvalue of L that the 128-angle grid cannot place:
+    # only refining the polygon next to it shows whether it is in W(A)
+    A, L = random_lowrank_pair(spawn_rng(seed, index), max_dim=10)
+    s = NumericalRangeSupport(A)
+    lams = [cl.center for cl in eigenvalues_clustered(L)
+            if _ambiguous_on_grid(s, cl.center)]
+    assert len(lams) == 1
+    lo, hi = s.bracket(lams[0])
+    assert s.distance(lams[0]) == lo
+    if want:
+        assert lams[0] == 4.464392148092122 - 1.2509218958052728j
+        assert lo == pytest.approx(want, abs=1e-9)
+        assert hi - lo <= NR_BRACKET_TOL * max(1.0, abs(lams[0]))
+    else:
+        # inside the refined polygon: a certified 0
+        assert (lo, hi) == (0.0, 0.0)
 
 
 def test_polynomial_roots_match_numpy():
