@@ -3,9 +3,9 @@
 The right-hand sides involving the representation-norm of h are replaced by
 the total variation of the explicit representative at hand, which upper
 bounds the infimum over representations; reports label such sides as
-surrogates.  Every check's result depends on its arguments alone, so suites
-can shard instances across workers freely.  The one state kept between calls
-is the numerical-range support of the last pair seen on each thread (see
+surrogates.  Every check's result depends on its arguments alone, so callers
+may run checks on several threads.  The one state kept between calls is the
+numerical-range support of the last pair seen on each thread (see
 _support_of): it lets the trace bound and the Schur chain of one pair share
 one grid, and it is never visible in a result.
 """
@@ -205,7 +205,8 @@ def _support_of(A: np.ndarray) -> NumericalRangeSupport:
     shape and bytes: check_theorem3 and check_schur_chain of one pair then
     share the grid and every refined distance.  Only that one support is kept,
     so a different or mutated A builds anew and nothing outlives the next
-    pair.  Each thread keeps its own, so pool workers never share a support.
+    pair.  Each thread keeps its own, so callers that run checks on several
+    threads never share a support.
     """
     key = (A.shape, A.tobytes())
     if getattr(_LAST_SUPPORT, "key", None) != key:

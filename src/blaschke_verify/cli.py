@@ -7,19 +7,18 @@ every check passed, 1 means a check failed or a numerical procedure gave up,
 2 means the input could not be parsed or violated a precondition.
 
 Output is byte-identical for identical (seed, flags, input): instance k of a
-suite draws from its own generator keyed by (seed, k), so the worker pool
-(capped by BLASCHKE_VERIFY_THREADS) never affects results or their order.
+suite draws from its own generator keyed by (seed, k), and every instance runs
+on the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import dataclasses
 import io
 import json
-import os
+import math
 import sys
 
 import numpy as np
@@ -96,8 +95,10 @@ def _parse_tols(pairs) -> dict:
             )
         try:
             tols[name] = float(val)
-        except ValueError as exc:
-            raise InputError(f"bad --tol value in {item!r}") from exc
+        except ValueError:
+            tols[name] = math.nan
+        if not math.isfinite(tols[name]):
+            raise InputError(f"bad --tol value in {item!r}; it must be a finite number")
     return tols
 
 
@@ -118,19 +119,6 @@ def _check_counts(args):
 
 def _tol(args, name: str) -> float:
     return args.tols.get(name, _TOL_DEFAULTS[name])
-
-
-def _workers() -> int:
-    base = min(4, os.cpu_count() or 1)
-    cap = os.environ.get("BLASCHKE_VERIFY_THREADS")
-    if cap:
-        try:
-            base = max(1, min(base, int(cap)))
-        except ValueError:
-            raise InputError(
-                f"BLASCHKE_VERIFY_THREADS must be an integer, got {cap!r}"
-            ) from None
-    return base
 
 
 def _expand(reports):
@@ -336,15 +324,15 @@ def _suite_instance(which: str, args, index: int):
 def _run_suite(suites, args):
     """Reports of every selected suite, suite by suite, each in index order.
 
-    One pool task runs every suite given (callers keep _SUITES order) for its
-    index, so thm3 and schur of one index meet on one thread and share their
-    pair's numerical-range grid.  A task keeps an instance payload only when
-    that instance failed; its replay dump goes to stderr in report order.
+    Instances run on the calling thread, index by index: every suite given
+    (callers keep _SUITES order) runs for index k before any runs for k + 1,
+    so thm3 and schur of one pair run back to back and share its
+    numerical-range grid.  An instance payload is kept only when that
+    instance failed; its replay dump goes to stderr in report order.
     """
-
-    def run_one(index):
-        out = []
-        for which in suites:
+    runs = [[] for _ in suites]
+    for index in range(args.instances):
+        for which, out in zip(suites, runs):
             try:
                 reports, inst = _suite_instance(which, args, index)
             except BlaschkeVerifyError as exc:
@@ -361,14 +349,9 @@ def _run_suite(suites, args):
             reports = [_with_detail(r, suite=which, instance=index) for r in reports]
             failed = not all(r.passed for r in _expand(reports))
             out.append((reports, inst if failed else None))
-        return out
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(run_one, range(args.instances)))
     reports = []
-    for k, which in enumerate(suites):
-        for index, per_suite in enumerate(results):
-            reps, inst = per_suite[k]
+    for which, out in zip(suites, runs):
+        for index, (reps, inst) in enumerate(out):
             reports.extend(reps)
             if inst is not None:
                 _dump_failure(

@@ -15,6 +15,7 @@ determinant det(I + phi psi* (lam - A)^{-1}).
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 import scipy.linalg
@@ -68,6 +69,10 @@ class ContractionSystem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
+        with np.errstate(over="ignore"):
+            norms = self.norm_product()
+        if not math.isfinite(norms):
+            raise NonFiniteValue(f"||phi|| * ||psi|| is {norms!r}; it must be finite")
 
     @property
     def n(self) -> int:

@@ -1,12 +1,13 @@
 """End-to-end CLI behavior: schemas, exit codes, determinism."""
 
+import csv
 import json
 import math
 import warnings
 
 import pytest
 
-from blaschke_verify.cli import _SUITES, main
+from blaschke_verify.cli import main
 from blaschke_verify.linalg import NumericalRangeSupport
 
 from conftest import DATA
@@ -53,27 +54,40 @@ def test_output_is_byte_deterministic(capsys):
     assert out1 == out2
 
 
-def test_threads_env_does_not_change_output(capsys, monkeypatch):
-    args = ["random-suite", "--which", "all", "--instances", "2", "--seed", "5"]
-    code1, out1, _ = run(capsys, args)
-    monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", "1")
-    code2, out2, _ = run(capsys, args)
-    assert code1 == code2 == 0
-    assert out1 == out2
-    # failures in three suites: their dumps on stderr keep suite-then-index
-    # order whatever the pool runs first
+def test_failure_dumps_come_suite_by_suite(capsys):
+    # every thm1, thm2, thm3 and schur instance fails: instances run index by
+    # index, yet their dumps on stderr come suite by suite, each in index order
     failing = ["random-suite", "--which", "all", "--instances", "4", "--seed", "1",
-               "--tol", "blaschke=-1", "--tol", "schur=-1"]
-    runs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", threads)
-        runs.append(run(capsys, failing))
-    assert runs[0] == runs[1]
-    code, _, err = runs[0]
+               "--tol", "blaschke=-100", "--tol", "schur=-1"]
+    first = run(capsys, failing)
+    assert run(capsys, failing) == first
+    code, _, err = first
     order = [(d["failed"], d["index"]) for d in map(json.loads, err.splitlines())]
     assert code == 1
-    assert order == sorted(order, key=lambda d: (_SUITES.index(d[0]), d[1]))
-    assert {"thm1", "schur"} <= {which for which, _ in order}
+    assert order == [(w, k) for w in ("thm1", "thm2", "thm3", "schur") for k in range(4)]
+
+
+@pytest.mark.parametrize(
+    "argv, parent",
+    [(["schur-chain", "--instances", "2"], "schur-chain"),
+     (["jensen", "--instances", "1"], "hardy-chain")],
+    ids=["schur-chain", "jensen"],
+)
+def test_chain_links_follow_their_parent(capsys, tmp_path, argv, parent):
+    cout = tmp_path / "out.csv"
+    code, out, _ = run(capsys, argv + ["--csv-out", str(cout)])
+    assert code == 0
+    rows = json.loads(out)["reports"]
+    parents = [r for r in rows if r["name"] == parent]
+    assert len(parents) == 2 and all(r["details"]["links"] for r in parents)
+    want = []
+    for r in parents:
+        want.append(parent)
+        want += [f"{parent}/{link['name']}" for link in r["details"]["links"]]
+    names = [r["name"] for r in rows]
+    assert names == want
+    with open(cout, newline="") as fh:
+        assert [row["name"] for row in csv.DictReader(fh)] == names
 
 
 def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch):
@@ -81,11 +95,10 @@ def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch):
     init = NumericalRangeSupport.__init__
 
     def counted(self, A):
-        builds.append(1)  # list.append is atomic across the pool's threads
+        builds.append(1)
         init(self, A)
 
     monkeypatch.setattr(NumericalRangeSupport, "__init__", counted)
-    monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", "2")
     code, out, _ = run(capsys, ["random-suite", "--which", "all", "--instances", "6"])
     assert code == 0
     assert len(builds) == 6
@@ -192,14 +205,6 @@ def test_exit_two_on_undecodable_file(capsys, tmp_path, raw, named):
     assert err.startswith(f"input error: {p}: ") and named in err
 
 
-def test_exit_two_on_bad_thread_count(capsys, monkeypatch):
-    monkeypatch.setenv("BLASCHKE_VERIFY_THREADS", "abc")
-    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
-    assert code == 2
-    assert out == ""
-    assert err == "input error: BLASCHKE_VERIFY_THREADS must be an integer, got 'abc'\n"
-
-
 def test_exit_two_on_bad_point(capsys, tmp_path):
     p = tmp_path / "off.json"
     p.write_text(
@@ -247,6 +252,12 @@ def _system(**fields):
 
 
 _LINE_C = {"re": 1.0, "im": 0.0}
+# every entry finite, but ||phi|| * ||psi|| = 1e600 overflows
+_OVERFLOW = {
+    "A": [[{"re": 0.5}]],
+    "phi": [{"re": 1e300}],
+    "psi": [{"re": 1e300}],
+}
 
 
 @pytest.mark.parametrize(
@@ -261,16 +272,21 @@ _LINE_C = {"re": 1.0, "im": 0.0}
         ("real-line", {"atoms": [{"s": 0.5, "c": 5}]}, "atoms[0].c must be"),
         ("real-line", {"atoms": 3}, "atoms must be a list"),
         ("real-line", {"atoms": [{"s": math.nan, "c": _LINE_C}]}, "atoms[0].s nan is not"),
+        ("verify-system", _OVERFLOW, "||phi|| * ||psi|| is inf"),
+        ("dilate", _OVERFLOW, "||phi|| * ||psi|| is inf"),
     ],
 )
 def test_exit_two_on_malformed_file(capsys, tmp_path, command, obj, named):
     p = tmp_path / "input.json"
     p.write_text(json.dumps(obj))  # NaN / Infinity literals, which json.load accepts
-    code, out, err = run(capsys, [command, str(p)])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, [command, str(p)])
     assert code == 2
     assert out == ""
     assert err.startswith("input error: ") and named in err
     assert "Traceback" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 _PAIR_DIM = "--max-dim must be >= 2 for the thm3 and schur suites, got 1"
@@ -319,12 +335,19 @@ def test_zero_instances_give_empty_payload(capsys):
     assert payload["summary"] == {"failed": 0, "min_slack": None, "total": 0}
 
 
-def test_exit_two_on_bad_tol(capsys, data_dir):
-    code, _, err = run(
+@pytest.mark.parametrize(
+    "tol", ["nope=1", "blaschke=abc", "blaschke=nan", "blaschke=inf", "blaschke=-inf",
+            "blaschke=1e400", "pairing=nan"],
+)
+def test_exit_two_on_bad_tol(capsys, data_dir, tol):
+    code, out, err = run(
         capsys,
-        ["verify-measure", str(data_dir / "sharp_measure.json"), "--tol", "nope=1"],
+        ["verify-measure", str(data_dir / "sharp_measure.json"), "--tol", tol],
     )
     assert code == 2
+    assert out == ""
+    assert err.startswith("input error: bad --tol ") and repr(tol) in err
+    assert "Traceback" not in err
 
 
 def test_json_and_csv_out(capsys, tmp_path, data_dir):
