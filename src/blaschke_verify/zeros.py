@@ -4,10 +4,10 @@
    the closed disk are exactly the reciprocals of zeros of h, multiplicity
    matching algebraic multiplicity;
 2. argument-principle: adaptive winding-number quadrature on circles; a cell
-   holding 2 to 4 zeros is read off its own contour (the scaled power sums
-   give a Hankel pencil whose eigenvalues, finished by Newton on h, are the
-   zeros), and a cell whose reading fails its checks, or that holds more, is
-   quadrisected into covering circles;
+   holding 1 to 4 zeros, the top circle first, is read off its own contour
+   (the scaled power sums give a Hankel pencil whose eigenvalues, finished by
+   Newton on h, are the zeros), and a cell whose reading fails its checks,
+   or that holds more, is quadrisected into covering circles;
 3. numerator-roots: companion-matrix roots of the exact rational numerator.
 
 Cross-validating the three on random instances is the core scientific check
@@ -157,7 +157,7 @@ _GUARD_REL = 1e-12
 # reject contours passing closer than this (relative) to an atom pole; the
 # nudge ladder reaches 4e-4 so a rejected radius can always be cleared
 _POLE_CLEARANCE_REL = 2e-4
-# a cell holding 2.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros)
+# a cell holding 1.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros)
 _HANKEL_MAX = 4
 
 
@@ -175,7 +175,7 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     Returns (k, M1, M2, err, sums): M1 and M2 are the sums of the zeros
     inside and of their squares, err the moment error estimate below, and
     sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
-    p = 0..2k when 2 <= k <= 4 (_HANKEL_MAX), otherwise ().  They are the
+    p = 0..2k when 1 <= k <= 4 (_HANKEL_MAX), otherwise ().  They are the
     means of e^p g over the final rule, e = (w - center)/rho, so they cost
     one vector product each and no kernel evaluation.
 
@@ -259,7 +259,7 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
             if n >= settled_at * 4:
                 sums = ()
-                if 2 <= k <= _HANKEL_MAX:
+                if 1 <= k <= _HANKEL_MAX:
                     sums, eg = [W], g
                     for _ in range(2 * k):
                         eg = eg * e
@@ -314,8 +314,8 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
     sums[p] = s_p = sum_i ((z_i - center)/radius)^p for p = 0..2k.  The
     scaled zeros are the eigenvalues of the Hankel pencil (H1, H0) with
     H0 = [s_{i+j}] and H1 = [s_{i+j+1}] (Delves and Lyness 1967; Kravanja and
-    Van Barel 2000); two Newton steps on h, by direct kernel summation,
-    finish them.  None (the caller quadrisects) when
+    Van Barel 2000), s_1 / s_0 for k = 1; two Newton steps on h, by direct
+    kernel summation, finish them.  None (the caller quadrisects) when
       * H0 is singular: s_min <= 1e-8 s_max, a multiple zero or two
         near-coincident ones;
       * a Newton step would be longer than the radius, h' = 0 included;
@@ -354,25 +354,27 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
 
 
 def _isolate(f, center, rho, depth, out):
+    """Append the zeros in |w - center| < rho to out; return (nudged radius, count)."""
     radius, k, M1, M2, err, sums = _contour_with_nudges(f, center, rho)
     if k < 0:
         # the integrand is pole-free, so a settled negative count means the
         # quadrature itself went wrong
-        raise NonIntegerWinding(f"negative zero count {k} on cell at {center!r}")
+        cell = "top-level contour" if depth == 0 else f"cell at {center!r}"
+        raise NonIntegerWinding(f"{cell} winding {k} is negative")
     if k == 0:
-        return
+        return radius, k
     centroid = M1 / k
     spread = math.sqrt(abs(M2 / k - centroid * centroid))
     floor = max(_SPREAD_FLOOR, 3.0 * math.sqrt(err) if math.isfinite(err) else 0.0)
-    sane = abs(centroid - center) <= radius * 1.05
-    if (spread <= floor and sane) or radius <= _CELL_FLOOR:
-        out.append((complex(centroid), k))
-        return
     if sums:
         simple = _hankel_zeros(f, center, radius, sums, err, floor)
         if simple is not None:
             out.extend((z, 1) for z in simple)
-            return
+            return radius, k
+    sane = abs(centroid - center) <= radius * 1.05
+    if (spread <= floor and sane) or radius <= _CELL_FLOOR:
+        out.append((complex(centroid), k))
+        return radius, k
     if depth >= _MAX_DEPTH:
         raise MaxDepthExceeded(
             f"cell at {center!r} radius {radius!r} still mixed at depth {depth}"
@@ -380,24 +382,25 @@ def _isolate(f, center, rho, depth, out):
     for off in _CHILD_OFFSETS:
         child = center + radius * complex(off)
         _isolate(f, child, radius * _CHILD_FACTOR, depth + 1, out)
+    return radius, k
 
 
 def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP) -> ZeroSet:
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
-    The top-level contour certifies the total count; recursive quadrisection
-    with covering disks (at most 60 levels deep) then isolates the zeros.  A
-    cell terminates once its zero-centroid spread is below the moment noise
-    floor (or its radius hits 1e-8), reporting the centroid with the cell's
-    count as multiplicity.  A cell still holding 2 to 4 zeros is first read
-    off its own contour: the eigenvalues of the Hankel pencil of its scaled
-    power sums, polished by two Newton steps, are reported as simple zeros
-    when they pass the checks of _hankel_zeros; otherwise (a multiple or
-    near-coincident zero among them, say) the cell is quadrisected.  Covering
-    disks overlap, so duplicate reports within 1e-7 are merged; the surviving
-    multiplicities must add up to the certified total.  The route evaluates
-    h by kernel summation only and solves no eigenproblem but its own k x k
-    pencils; it never touches the numerator or L.
+    The top-level contour certifies the total count and is then a cell like
+    any other.  A cell holding 1 to 4 zeros is read off its own contour: the
+    eigenvalues of the Hankel pencil of its scaled power sums, polished by
+    two Newton steps, are reported as simple zeros when they pass the checks
+    of _hankel_zeros.  A refused reading (a multiple or near-coincident zero,
+    say) falls to the spread test: a cell whose zero-centroid spread is below
+    the moment noise floor (or whose radius hits 1e-8) reports the centroid
+    with its count as multiplicity.  Any other cell is quadrisected with
+    covering disks, at most 60 levels deep.  Covering disks overlap, so
+    duplicate reports within 1e-7 are merged; the surviving multiplicities
+    must add up to the certified total.  The route evaluates h by kernel
+    summation only and solves no eigenproblem but its own k x k pencils; it
+    never touches the numerator or L.
     Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  Neither is a reference for this one; the numerator roots in
@@ -405,14 +408,8 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     """
     if not 0.0 < radius <= CONTOUR_CAP:
         raise ValueError(f"radius must lie in (0, {CONTOUR_CAP}]")
-    cap, k_top, _, _, _, _ = _contour_with_nudges(f, 0.0, radius)
-    if k_top < 0:
-        raise NumericalError(f"top-level contour winding {k_top} is negative")
-    if k_top == 0:
-        return ZeroSet(zeros=(), method=METHOD_ARG)
     raw: list = []
-    for off in _CHILD_OFFSETS:
-        _isolate(f, cap * complex(off), cap * _CHILD_FACTOR, 1, raw)
+    cap, k_top = _isolate(f, 0.0, radius, 0, raw)
     # dedupe overlap duplicates; the same zero keeps its full multiplicity in
     # every covering cell, so groups take the max, not the sum
     groups: list[list] = []

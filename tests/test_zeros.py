@@ -279,7 +279,7 @@ def _reference_contour_moments(f, center, rho):
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
             if n >= settled_at * 4:
                 sums = ()
-                if 2 <= k <= zeros_mod._HANKEL_MAX:
+                if 1 <= k <= zeros_mod._HANKEL_MAX:
                     sums, eg = [W], g
                     for _ in range(2 * k):
                         eg = eg * e
@@ -396,10 +396,7 @@ def direct_with_zeros(zs, points):
 CELL_ZEROS = [0.3 + 0.2j, -0.1 + 0.4j, 0.25 + 0.55j, 0.05 + 0.05j]
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
-def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
-    zs = CELL_ZEROS[:k]
-    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
+def _spy_centers(monkeypatch):
     centers = []
     real = zeros_mod._contour_with_nudges
 
@@ -408,6 +405,14 @@ def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
         return real(f, center, rho)
 
     monkeypatch.setattr(zeros_mod, "_contour_with_nudges", spy)
+    return centers
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
+    zs = CELL_ZEROS[:k]
+    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
+    centers = _spy_centers(monkeypatch)
     out = []
     zeros_mod._isolate(f, 0.1 + 0.3j, 0.6, 1, out)
     assert centers == [0.1 + 0.3j]  # the cell's own contour and no child
@@ -415,6 +420,27 @@ def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
     got = sorted((z for z, _ in out), key=lambda z: (z.real, z.imag))
     want = sorted(zs, key=lambda z: (z.real, z.imag))
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_top_circle_with_distinct_zeros_takes_one_contour(monkeypatch, k):
+    zs = CELL_ZEROS[:k]
+    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
+    centers = _spy_centers(monkeypatch)
+    got = zeros_via_argument_principle(f)
+    assert centers == [0.0]  # the top circle is read, no child is evaluated
+    assert [m for _, m in got.zeros] == [1] * k
+    want = sorted(zs, key=lambda z: (z.real, z.imag))
+    assert np.max(np.abs(np.array([z for z, _ in got.zeros]) - np.array(want))) < 1e-12
+
+
+def test_top_circle_with_five_zeros_quadrisects(monkeypatch):
+    zs = CELL_ZEROS + [-0.5 - 0.3j]
+    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5))
+    centers = _spy_centers(monkeypatch)
+    got = zeros_via_argument_principle(f)
+    assert centers[0] == 0.0 and len(centers) > 1
+    assert got.count == 5 and [m for _, m in got.zeros] == [1] * 5
 
 
 def _cell_moments(f, center, rho):
@@ -531,3 +557,28 @@ def test_contour_zeros_of_32_atoms_match_mpmath_newton(mode):
     assert zs.count >= 18 and all(m == 1 for _, m in zs.zeros)
     for z, _ in zs.zeros:
         assert abs(z - _newton_mp(f, z)) < 1e-12, z
+
+
+@pytest.mark.parametrize("mode", ["shifted", "direct"])
+@pytest.mark.parametrize("seed,index", [(1, 24), (2, 8)])
+def test_single_zeros_are_newton_polished(mode, seed, index):
+    # draws whose contour route reads single zeros off the top circle or a
+    # cell; a raw centroid s_1 / s_0 is about 2e-14 off on these
+    mu = random_conditioned_measure(spawn_rng(seed, index), max_atoms=8)
+    f = CauchyFunction(source=mu, mode=mode)
+    zs = zeros_via_argument_principle(f)
+    assert zs.count >= 1 and all(m == 1 for _, m in zs.zeros)
+    for z, _ in zs.zeros:
+        assert abs(z - _newton_mp(f, z)) < 1e-15, z
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NumericalError,
+    reason="ROADMAP item 3: zeros 1e-5 apart end inconsistently in overlapping "
+    "cells (multiplicities sum to 5, top contour counted 3)",
+)
+def test_zeros_1e5_apart_sum_to_the_top_count():
+    z1 = 0.3 + 0.2j
+    f = direct_with_zeros([z1, z1 + 1e-5, -0.1 + 0.4j], [1, 1j, -1])
+    assert zeros_via_argument_principle(f).count == 3
