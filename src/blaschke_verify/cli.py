@@ -195,9 +195,10 @@ def _with_detail(report: BoundReport, **extra) -> BoundReport:
 # three-way zero agreement
 
 
-def _filter_cap(zs: ZeroSet) -> ZeroSet:
+def _filter_cap(zs: ZeroSet, radius: float) -> ZeroSet:
+    """zs cut to |z| < radius, the radius another route certified."""
     return ZeroSet(
-        zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < CONTOUR_CAP), method=zs.method
+        zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < radius), method=zs.method
     )
 
 
@@ -231,7 +232,9 @@ def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):
         eig = zeros_via_L(build_system_from_measure(sigma))
         reports.append(_agreement_report("zeros-eigenvalue-vs-roots", eig, roots, tol))
     arg = zeros_via_argument_principle(f, radius=CONTOUR_CAP)
-    reports.append(_agreement_report("zeros-contour-vs-roots", arg, _filter_cap(roots), tol))
+    reports.append(
+        _agreement_report("zeros-contour-vs-roots", arg, _filter_cap(roots, arg.radius), tol)
+    )
     return reports
 
 

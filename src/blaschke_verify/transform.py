@@ -124,16 +124,22 @@ def rational_form(f: CauchyFunction) -> RationalForm:
     mu = f.source
     zb = np.conj(mu.points)
     n = mu.natoms
-    # Q = prod (1 - w conj(zeta_j)); partial[j] = Q without factor j
-    Q = np.array([1.0 + 0j])
-    for j in range(n):
-        Q = P.polymul(Q, np.array([1.0, -zb[j]]))
+    # Q = prod (1 - w conj(zeta_j)); prefix[j] is the product of the factors
+    # before j, so Q = prefix[n]
+    factors = [np.array([1.0, -z]) for z in zb]
+    prefix = [np.array([1.0 + 0j])]
+    for fac in factors:
+        prefix.append(np.convolve(prefix[-1], fac))
+    Q = prefix[n]
     S = np.zeros(max(n, 1), dtype=complex)
     for j in range(n):
-        part = np.array([1.0 + 0j])
-        for k in range(n):
-            if k != j:
-                part = P.polymul(part, np.array([1.0, -zb[k]]))
+        # Q without factor j, multiplied left to right like Q itself: floating
+        # point products do not associate, so any other order (one product
+        # and a synthetic division per atom, say) would move the numerator's
+        # bits and with them every root the numerator route reports
+        part = prefix[j]
+        for fac in factors[j + 1:]:
+            part = np.convolve(part, fac)
         S = P.polyadd(S, mu.weights[j] * part)
     KQ = P.polyadd(S, mu.lebesgue * Q)  # numerator of K mu over Q
     if f.mode == "direct":

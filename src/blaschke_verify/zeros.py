@@ -4,7 +4,7 @@
    the closed disk are exactly the reciprocals of zeros of h, multiplicity
    matching algebraic multiplicity;
 2. argument-principle: adaptive winding-number quadrature on circles; a cell
-   holding 1 to 4 zeros, the top circle first, is read off its own contour
+   holding 1 to 8 zeros, the top circle first, is read off its own contour
    (the scaled power sums give a Hankel pencil whose eigenvalues, finished by
    Newton on h, are the zeros), and a cell whose reading fails its checks,
    or that holds more, is quadrisected into covering circles;
@@ -46,10 +46,16 @@ CONTOUR_CAP = 0.999
 
 @dataclasses.dataclass(frozen=True)
 class ZeroSet:
-    """Zeros (location, multiplicity) in the open disk, sorted by (Re, Im)."""
+    """Zeros (location, multiplicity) in the open disk, sorted by (Re, Im).
+
+    radius is the radius the search certified, for a route that searches a
+    smaller disk (the contour route, after any nudge of its top circle);
+    None for the routes that search the whole disk.
+    """
 
     zeros: tuple
     method: str
+    radius: float | None = None
 
     def __post_init__(self):
         zs = []
@@ -157,8 +163,9 @@ _GUARD_REL = 1e-12
 # reject contours passing closer than this (relative) to an atom pole; the
 # nudge ladder reaches 4e-4 so a rejected radius can always be cleared
 _POLE_CLEARANCE_REL = 2e-4
-# a cell holding 1.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros)
-_HANKEL_MAX = 4
+# a cell holding 1.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros);
+# 16 saves little over 8 (a 64-atom draw: 81 contours against 89, no faster)
+_HANKEL_MAX = 8
 
 
 def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -175,7 +182,7 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     Returns (k, M1, M2, err, sums): M1 and M2 are the sums of the zeros
     inside and of their squares, err the moment error estimate below, and
     sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
-    p = 0..2k when 1 <= k <= 4 (_HANKEL_MAX), otherwise ().  They are the
+    p = 0..2k when 1 <= k <= 8 (_HANKEL_MAX), otherwise ().  They are the
     means of e^p g over the final rule, e = (w - center)/rho, so they cost
     one vector product each and no kernel evaluation.
 
@@ -389,7 +396,7 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
     The top-level contour certifies the total count and is then a cell like
-    any other.  A cell holding 1 to 4 zeros is read off its own contour: the
+    any other.  A cell holding 1 to 8 zeros is read off its own contour: the
     eigenvalues of the Hankel pencil of its scaled power sums, polished by
     two Newton steps, are reported as simple zeros when they pass the checks
     of _hankel_zeros.  A refused reading (a multiple or near-coincident zero,
@@ -403,8 +410,11 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     never touches the numerator or L.
     Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
-    routes.  Neither is a reference for this one; the numerator roots in
-    particular lose accuracy above about 24 atoms.
+    routes.  The nudge ladder may move the top circle by up to 4e-4
+    (relative); the radius it certified is returned as ZeroSet.radius, and a
+    comparison with another route cuts that route there.  Neither is a
+    reference for this one; the numerator roots in particular lose accuracy
+    above about 24 atoms.
     """
     if not 0.0 < radius <= CONTOUR_CAP:
         raise ValueError(f"radius must lie in (0, {CONTOUR_CAP}]")
@@ -432,4 +442,4 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
         raise NumericalError(
             f"isolated multiplicities sum to {total}, top contour counted {k_top}"
         )
-    return ZeroSet(zeros=tuple(zeros), method=METHOD_ARG)
+    return ZeroSet(zeros=tuple(zeros), method=METHOD_ARG, radius=cap)

@@ -46,6 +46,21 @@ def test_verify_measure_direct_mode(capsys, data_dir):
     assert "direct-transform-zero-bound" in names
 
 
+def test_contour_and_roots_agree_at_the_certified_radius(capsys, data_dir):
+    # direct_with_zeros([0.9990001 e^{0.7i}, 0.2 + 0.1i, -0.3 + 0.4i],
+    # [1, i, -1]) scaled to unit mass: the top contour is nudged outward past
+    # the zero at |z| = 0.9990001, so the roots must be cut at the nudged
+    # radius, not at CONTOUR_CAP, or they count 2 zeros against 3
+    code, out, _ = run(
+        capsys,
+        ["verify-measure", str(data_dir / "near_cap_measure.json"), "--mode", "direct"],
+    )
+    assert code == 0
+    reports = {r["name"]: r for r in json.loads(out)["reports"]}
+    contour = reports["zeros-contour-vs-roots"]
+    assert contour["pass"] and contour["details"]["counts"] == [3, 3]
+
+
 def test_output_is_byte_deterministic(capsys):
     args = ["random-suite", "--which", "thm2", "--instances", "5", "--seed", "11"]
     code1, out1, _ = run(capsys, args)

@@ -18,6 +18,7 @@ from blaschke_verify.transform import (
     taylor_moment,
 )
 
+from blaschke_verify.random_instances import random_atomic_measure, spawn_rng
 from blaschke_verify.zeros import _h_and_deriv_continuation
 
 from conftest import random_measure_simple
@@ -124,6 +125,70 @@ def test_rational_form_matches_eval():
             den = np.prod(1.0 - w[:, None] * np.conj(mu.points), axis=-1)
             scale = np.maximum(1.0, np.abs(f(w)))
             assert np.max(np.abs(num / den - f(w)) / scale) < 1e-10
+
+
+def _reference_numerator(f):
+    """The former rational_form: every partial product formed afresh."""
+    from numpy.polynomial import polynomial as P
+
+    from blaschke_verify.transform import COEFF_TRIM_REL
+
+    mu = f.source
+    zb = np.conj(mu.points)
+    n = mu.natoms
+    Q = np.array([1.0 + 0j])
+    for j in range(n):
+        Q = P.polymul(Q, np.array([1.0, -zb[j]]))
+    S = np.zeros(max(n, 1), dtype=complex)
+    for j in range(n):
+        part = np.array([1.0 + 0j])
+        for k in range(n):
+            if k != j:
+                part = P.polymul(part, np.array([1.0, -zb[k]]))
+        S = P.polyadd(S, mu.weights[j] * part)
+    KQ = P.polyadd(S, mu.lebesgue * Q)
+    if f.mode == "direct":
+        num = KQ
+    else:
+        num = P.polyadd(Q, P.polymul(np.array([0.0, 1.0]), KQ))
+    num = np.asarray(num, dtype=complex)
+    top = np.max(np.abs(num))
+    if top > 0:
+        keep = num.size
+        while keep > 1 and abs(num[keep - 1]) <= COEFF_TRIM_REL * top:
+            keep -= 1
+        num = num[:keep]
+    else:
+        num = np.zeros(1, dtype=complex)
+    return num
+
+
+def _bit_identity_measures():
+    # 1 to 32 atoms, with and without a Lebesgue part, and atoms on the axes,
+    # whose conjugates carry signed zeros into the products
+    rng = np.random.default_rng(2011)
+    for n in range(1, 33):
+        yield random_measure_simple(rng, n)
+        yield random_atomic_measure(spawn_rng(2011, n), max_atoms=n, min_atoms=n)
+    axes = (1.0, 1j, -1.0, -1j)
+    yield AtomicMeasure(
+        atoms=tuple((UnitPoint(p), complex(c)) for p, c in zip(axes, (1, 1j, -1, 0.5))),
+        lebesgue=-0.25j,
+    )
+    yield AtomicMeasure(atoms=((UnitPoint(1.0), 1.0 + 0j), (UnitPoint(-1.0), -1.0 + 0j)))
+
+
+def test_rational_form_bytes_match_the_former_product_loop():
+    # the partial products reuse their prefixes but multiply in the former
+    # order, so the numerator is the same to the last bit
+    for mu in _bit_identity_measures():
+        for mode in ("direct", "shifted"):
+            f = CauchyFunction(source=mu, mode=mode)
+            got = rational_form(f).numerator
+            want = _reference_numerator(f)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
+                mu.natoms, mode,
+            )
 
 
 def test_rational_form_shifted_constant_coeff_is_one():

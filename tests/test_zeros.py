@@ -40,7 +40,8 @@ def shifted(mu):
     return CauchyFunction(source=mu, mode="shifted")
 
 
-def cap_zeros(zs, cap=0.999):
+def cap_zeros(zs, cap):
+    """zs cut to |z| < cap, the radius the contour route certified."""
     return ZeroSet(
         zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < cap), method=zs.method
     )
@@ -158,8 +159,8 @@ def test_winding_counts_match_root_counts():
     for i in range(25):
         mu = random_conditioned_measure(spawn_rng(99, i), max_atoms=6)
         f = shifted(mu)
-        zs_roots = cap_zeros(zeros_via_numerator_roots(f))
         zs_arg = zeros_via_argument_principle(f)
+        zs_roots = cap_zeros(zeros_via_numerator_roots(f), zs_arg.radius)
         assert zs_arg.count == zs_roots.count
         hits += zs_arg.count
     assert hits > 0  # the family is not degenerate
@@ -173,7 +174,7 @@ def test_three_way_agreement_random():
         zb = zeros_via_L(build_system_from_measure(mu))
         zc = zeros_via_argument_principle(f)
         ok1, w1 = match_zero_sets(za, zb, tol=1e-7)
-        ok2, w2 = match_zero_sets(zc, cap_zeros(za), tol=1e-7)
+        ok2, w2 = match_zero_sets(zc, cap_zeros(za, zc.radius), tol=1e-7)
         assert ok1, (i, w1, za.zeros, zb.zeros)
         assert ok2, (i, w2, za.zeros, zc.zeros)
 
@@ -184,7 +185,7 @@ def test_direct_mode_agreement_random(double_zero_measure):
     f = CauchyFunction(source=double_zero_measure, mode="direct")
     za = zeros_via_numerator_roots(f)
     zc = zeros_via_argument_principle(f)
-    ok, worst = match_zero_sets(zc, cap_zeros(za), tol=1e-7)
+    ok, worst = match_zero_sets(zc, cap_zeros(za, zc.radius), tol=1e-7)
     assert ok, (worst, za.zeros, zc.zeros)
     assert za.count == 2
 
@@ -206,6 +207,21 @@ def test_contour_nudges_past_boundary_zero():
     assert r != 0.999
     assert abs(r / 0.999 - 1.0) <= 5e-4
     assert k in (0, 1)
+
+
+def test_contour_route_reports_its_certified_radius():
+    # the zero on the requested contour makes the route nudge its top circle;
+    # the radius it reports is the nudged one, and it kept exactly the zeros
+    # below it.  The routes that search the whole disk report no radius.
+    mu = dirac(-1.0, 1.0 / 0.999 - 1.0)
+    f = shifted(mu)
+    zs = zeros_via_argument_principle(f)
+    r = zeros_mod._contour_with_nudges(f, 0.0, 0.999)[0]
+    assert zs.radius == r != 0.999
+    assert zs.count == (0.999 < r)
+    assert zeros_via_numerator_roots(f).radius is None
+    assert zeros_via_L(build_system_from_measure(mu)).radius is None
+    assert zeros_via_argument_principle(shifted(dirac(-1.0, 1.0))).radius == 0.999
 
 
 def test_near_boundary_zero_found():
@@ -302,12 +318,17 @@ def _contour_cases():
         tail = [measure_from_jsonable(m) for m in json.load(fh)["measures"]]
     with open(DATA / "double_zero_measure.json") as fh:
         double = measure_from_jsonable(json.load(fh))
+    with open(DATA / "measure_32_atoms.json") as fh:
+        many = measure_from_jsonable(json.load(fh))
     return [
         CauchyFunction(source=tail[0], mode="direct"),
         shifted(tail[1]),
         CauchyFunction(source=double, mode="direct"),
         # the zero sits on the top-level contour, so the route nudges
         shifted(dirac(-1.0, 1.0 / 0.999 - 1.0)),
+        # more than 8 zeros, so the route quadrisects into covering cells
+        # that swallow atom poles
+        shifted(many),
     ]
 
 
@@ -393,7 +414,10 @@ def direct_with_zeros(zs, points):
     return CauchyFunction(source=mu, mode="direct")
 
 
-CELL_ZEROS = [0.3 + 0.2j, -0.1 + 0.4j, 0.25 + 0.55j, 0.05 + 0.05j]
+CELL_ZEROS = [
+    0.3 + 0.2j, -0.1 + 0.4j, 0.25 + 0.55j, 0.05 + 0.05j,
+    -0.3 + 0.3j, 0.45 + 0.35j, 0.0 + 0.7j, 0.2 - 0.1j,
+]
 
 
 def _spy_centers(monkeypatch):
@@ -408,7 +432,7 @@ def _spy_centers(monkeypatch):
     return centers
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5, 6, 7, 8])
 def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
     zs = CELL_ZEROS[:k]
     f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
@@ -422,7 +446,10 @@ def test_cell_with_distinct_zeros_has_no_children(monkeypatch, k):
     assert np.max(np.abs(np.array(got) - np.array(want))) < 1e-12
 
 
-@pytest.mark.parametrize("k", [1, 2, 3, 4])
+# k = 8 is left to the cell test above: with 8 atoms on the unit circle the
+# rounded weights move the zeros of h by 1.2e-12 from CELL_ZEROS (the route's
+# zeros are within 1.1e-13 of 50-digit Newton on the rounded h)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6, 7])
 def test_top_circle_with_distinct_zeros_takes_one_contour(monkeypatch, k):
     zs = CELL_ZEROS[:k]
     f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(k) + 0.3) / k))
@@ -434,13 +461,13 @@ def test_top_circle_with_distinct_zeros_takes_one_contour(monkeypatch, k):
     assert np.max(np.abs(np.array([z for z, _ in got.zeros]) - np.array(want))) < 1e-12
 
 
-def test_top_circle_with_five_zeros_quadrisects(monkeypatch):
+def test_top_circle_with_nine_zeros_quadrisects(monkeypatch):
     zs = CELL_ZEROS + [-0.5 - 0.3j]
-    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(5) + 0.3) / 5))
+    f = direct_with_zeros(zs, np.exp(2j * np.pi * (np.arange(9) + 0.3) / 9))
     centers = _spy_centers(monkeypatch)
     got = zeros_via_argument_principle(f)
     assert centers[0] == 0.0 and len(centers) > 1
-    assert got.count == 5 and [m for _, m in got.zeros] == [1] * 5
+    assert got.count == 9 and [m for _, m in got.zeros] == [1] * 9
 
 
 def _cell_moments(f, center, rho):
@@ -557,6 +584,27 @@ def test_contour_zeros_of_32_atoms_match_mpmath_newton(mode):
     assert zs.count >= 18 and all(m == 1 for _, m in zs.zeros)
     for z, _ in zs.zeros:
         assert abs(z - _newton_mp(f, z)) < 1e-12, z
+
+
+@pytest.mark.parametrize("mode", ["shifted", "direct"])
+def test_32_atoms_take_few_contours(monkeypatch, mode):
+    # cells of up to 8 zeros are read off their pencil, so the 19 (shifted)
+    # and 18 (direct) zeros of this fixture take 9 contours in either mode;
+    # quadrisecting every cell of 5 to 8 zeros into covering disks took 65
+    # and 49
+    with open(DATA / "measure_32_atoms.json") as fh:
+        f = CauchyFunction(source=measure_from_jsonable(json.load(fh)), mode=mode)
+    contours = []
+    real = zeros_mod._contour_moments
+
+    def spy(f, center, rho):
+        contours.append((center, rho))
+        return real(f, center, rho)
+
+    monkeypatch.setattr(zeros_mod, "_contour_moments", spy)
+    zs = zeros_via_argument_principle(f)
+    assert zs.count >= 18
+    assert len(contours) <= 12, len(contours)
 
 
 @pytest.mark.parametrize("mode", ["shifted", "direct"])
