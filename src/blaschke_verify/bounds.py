@@ -5,9 +5,10 @@ the total variation of the explicit representative at hand, which upper
 bounds the infimum over representations; reports label such sides as
 surrogates.  Every check's result depends on its arguments alone, so callers
 may run checks on several threads.  The one state kept between calls is the
-numerical-range support of the last pair seen on each thread (see
-_support_of): it lets the trace bound and the Schur chain of one pair share
-one grid, and it is never visible in a result.
+numerical-range support and the factors of the last pair seen on each thread
+(see _pair_of): they let the trace bound and the Schur chain of one pair
+share one grid, one Schur form and one SVD, and they are never visible in a
+result.
 """
 
 from __future__ import annotations
@@ -194,25 +195,32 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     )
 
 
-# the numerical-range support of the last A on each thread; see _support_of
-_LAST_SUPPORT = threading.local()
+# the numerical-range support of the last A, and the factors of the last
+# pair, on each thread; see _pair_of
+_LAST = threading.local()
 
 
-def _support_of(A: np.ndarray) -> NumericalRangeSupport:
-    """The NumericalRangeSupport of a validated A, built once per pair.
+def _pair_of(A: np.ndarray, L: np.ndarray):
+    """(NumericalRangeSupport of A, Schur form of L, trace_norm(L - A)) of a
+    validated pair, each computed once per pair.
 
-    The previous call on this thread is reused when it had the same A, by
-    shape and bytes: check_theorem3 and check_schur_chain of one pair then
-    share the grid and every refined distance.  Only that one support is kept,
-    so a different or mutated A builds anew and nothing outlives the next
-    pair.  Each thread keeps its own, so callers that run checks on several
-    threads never share a support.
+    The previous call on this thread is reused, by shape and bytes: its
+    support when it had the same A, and its Schur form and trace norm when it
+    had the same A and L.  check_theorem3 and check_schur_chain of one pair
+    then share the grid, every refined distance, one Schur form and one SVD.
+    Only the last ones are kept, so a different or mutated matrix computes
+    anew and nothing outlives the next pair.  Each thread keeps its own, so
+    callers that run checks on several threads never share them.
     """
-    key = (A.shape, A.tobytes())
-    if getattr(_LAST_SUPPORT, "key", None) != key:
-        _LAST_SUPPORT.support = NumericalRangeSupport(A)
-        _LAST_SUPPORT.key = key
-    return _LAST_SUPPORT.support
+    a_key = (A.shape, A.tobytes())
+    if getattr(_LAST, "a_key", None) != a_key:
+        _LAST.support = NumericalRangeSupport(A)
+        _LAST.a_key = a_key
+    pair_key = (a_key, L.tobytes())
+    if getattr(_LAST, "pair_key", None) != pair_key:
+        _LAST.schur, _LAST.trace_norm = schur_decompose(L), trace_norm(L - A)
+        _LAST.pair_key = pair_key
+    return _LAST.support, _LAST.schur, _LAST.trace_norm
 
 
 def _validated_pair(A, L):
@@ -234,8 +242,8 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     Raises DimensionMismatch when the shapes differ or the pair is empty.
     """
     A, L = _validated_pair(A, L)
-    support = _support_of(A)
-    clusters = eigenvalues_clustered(L)
+    support, sf, tn = _pair_of(A, L)
+    clusters = eigenvalues_clustered(L, schur=sf)
     lhs = 0.0
     dists = []
     for cl in clusters:
@@ -247,7 +255,7 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     return BoundReport(
         name="numerical-range-trace-bound",
         lhs=lhs,
-        rhs=trace_norm(L - A),
+        rhs=tn,
         tol=tol,
         details={"eigenvalues": dists},
     )
@@ -269,8 +277,7 @@ def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
     differ or the pair is empty.
     """
     A, L = _validated_pair(A, L)
-    support = _support_of(A)
-    sf = schur_decompose(L)
+    support, sf, tn = _pair_of(A, L)
     lams = sf.eigenvalues
     S1 = float(sum(support.distance(lam) for lam in lams))
     AG = A @ sf.Q
@@ -278,7 +285,6 @@ def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
     S2 = float(np.sum(np.abs(lams - diagA)))
     DG = (L - A) @ sf.Q
     S3 = float(np.sum(np.abs(np.einsum("ij,ij->j", np.conj(sf.Q), DG))))
-    tn = trace_norm(L - A)
     links = [
         _link("distance-vs-diagonal", S1, S2, tol),
         _link("diagonal-identity", S2, S3, tol),

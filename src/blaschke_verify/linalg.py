@@ -129,18 +129,21 @@ def cluster_points(points, radius: float) -> list[EigenCluster]:
     return out
 
 
-def eigenvalues_clustered(A, tol: float = DEFAULT_CLUSTER_TOL) -> list[EigenCluster]:
+def eigenvalues_clustered(
+    A, tol: float = DEFAULT_CLUSTER_TOL, schur: SchurForm | None = None
+) -> list[EigenCluster]:
     """Eigenvalues of A grouped with merge radius tol*max(1, ||A||).
 
     Cluster multiplicities sum to n.  The default tolerance balances the
     O(eps^(1/k)) scatter of defective eigenvalues against spurious merging.
+    A caller that already holds schur_decompose(A) passes it as schur.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     M = as_square_matrix(A)
     if M.shape[0] == 0:
         return []
-    sf = schur_decompose(M)
+    sf = schur_decompose(M) if schur is None else schur
     radius = tol * max(1.0, operator_norm(M))
     return cluster_points(sf.eigenvalues, radius)
 
@@ -214,12 +217,15 @@ class NumericalRangeSupport:
     largest eigenvalue of H(theta) = (e^{-i theta} A + e^{i theta} A*)/2.  The
     top unit eigenvector v of H(theta) gives the boundary point p = v*Av of
     W(A) (Johnson, SIAM J. Numer. Anal. 15, 1978) and, by Hellmann-Feynman,
-    the slope s'(theta) = v*H'(theta)v = Im(e^{-i theta} p).  One batched
-    Hermitian eigensolve gives s and p on NR_ANGLES angles; the p, in angle
-    order, span a convex polygon inside W(A).  Rounding scatters the copies
-    of one vertex of W(A), the boundary point of a whole arc of angles; points
-    within NR_BRACKET_TOL * max(1, r/16) of the previous one (r the numerical
-    radius) are merged, which moves the polygon by less than a closing width.
+    the slope s'(theta) = v*H'(theta)v = Im(e^{-i theta} p).  The grid is
+    NR_ANGLES angles in antipodal pairs: H(theta + pi) = -H(theta), so one
+    batched Hermitian eigensolve on the NR_ANGLES // 2 angles in [0, pi)
+    gives s and p at theta from its top eigenpair and at theta + pi from its
+    bottom one.  The p, in angle order, span a convex polygon inside W(A).
+    Rounding scatters the copies of one vertex of W(A), the boundary point of
+    a whole arc of angles; points within NR_BRACKET_TOL * max(1, r/16) of the
+    previous one (r the numerical radius) are merged, which moves the polygon
+    by less than a closing width.
 
     Each query lam gets a bracket lo <= dist(lam, W(A)) <= hi.  Its lower end
     is the best f evaluated, clamped at 0; its upper end is the distance from
@@ -232,9 +238,11 @@ class NumericalRangeSupport:
       superlevel sets there are arcs of separating directions), so its
       maximum lies within one grid step of the grid argmax.  A safeguarded
       secant on f'(theta) = Im((lam - p) e^{-i theta}) shrinks that angle
-      bracket by the sign of f'.  When the secant leaves the bracket, or its
-      last step did not halve |f'| (as at a kink, where f' jumps), the step
-      bisects the bracket instead;
+      bracket by the sign of f'.  When its last step did not halve |f'| (as
+      at a kink, where f' jumps), the next step goes to the normal angle of
+      the chord [p_a, p_b], where the maximum of f sits when lam is nearest
+      to the edge of W(A) that the chord approximates.  A step that would
+      leave the bracket bisects it instead;
     - otherwise the query is ambiguous: the polygon edges that lam lies
       outside are bisected in angle until lam falls inside the refined
       polygon, an angle gives f > 0 (then as above), or the bracket closes.
@@ -267,16 +275,17 @@ class NumericalRangeSupport:
                 f"numerical range needs a non-empty matrix, got shape {self.A.shape}"
             )
         self._AH = self.A.conj().T.copy()
+        half = NR_ANGLES // 2
         self.thetas = 2.0 * np.pi * np.arange(NR_ANGLES) / NR_ANGLES
+        self.thetas[half:] = self.thetas[:half] + np.pi
         self._phases = np.exp(-1j * self.thetas)
-        # stack of Hermitian parts, one batched eigh call
-        stack = (
-            self._phases[:, None, None] * self.A[None, :, :]
-            + np.conj(self._phases)[:, None, None] * self._AH[None, :, :]
-        ) / 2
-        w, V = np.linalg.eigh(stack)
-        self.support = w[:, -1]
-        v = V[:, :, -1]
+        self._phases[half:] = -self._phases[:half]
+        # H(theta + pi) = -H(theta): one batched eigh on [0, pi) gives the top
+        # eigenpair at theta and, negated, the bottom one at theta + pi
+        ph = self._phases[:half, None, None]
+        w, V = np.linalg.eigh((ph * self.A + np.conj(ph) * self._AH) / 2)
+        self.support = np.concatenate([w[:, -1], -w[:, 0]])
+        v = np.concatenate([V[:, :, -1], V[:, :, 0]])
         self._floor = max(1.0, float(np.max(np.abs(self.support))) / 16)
         self._gap = NR_BRACKET_TOL * self._floor
         self.points = _merge_repeats(np.sum(v.conj() * (v @ self.A.T), axis=1), self._gap)
@@ -372,10 +381,14 @@ class NumericalRangeSupport:
                     f"close within {NR_MAX_STEPS} evaluations"
                 )
             t = a
-            if not stalled and d1 != d0:
+            if stalled and pb != pa:
+                # at a kink the maximum is the normal angle of the edge that
+                # the chord approximates
+                t = a + (cmath.phase(-1j * (pb - pa)) - a) % (2.0 * np.pi)
+            elif not stalled and d1 != d0:
                 t = x1 - d1 * (x1 - x0) / (d1 - d0)
-            secant = a < t < b
-            if not secant:
+            guessed = a < t < b
+            if not guessed:
                 t = (a + b) / 2
             s, ds, p = self._support_at(t)
             steps -= 1
@@ -389,8 +402,8 @@ class NumericalRangeSupport:
                 a, pa = t, p
             else:
                 b, pb = t, p
-            # a secant step that did not halve |f'| has stalled
-            stalled = secant and not abs(d) <= abs(d1) / 2
+            # a secant or chord-normal step that did not halve |f'| has stalled
+            stalled = guessed and not abs(d) <= abs(d1) / 2
             hi = min(hi, _segment_distance(lam, pa, pb))
             x0, d0, x1, d1 = x1, d1, t, d
         return lo, max(lo, hi)

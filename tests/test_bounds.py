@@ -226,6 +226,23 @@ def test_trace_pair_builds_one_grid(monkeypatch):
     assert counts["_support_at"] == refinements
 
 
+def test_trace_pair_factors_l_once(monkeypatch):
+    # both checks need the Schur form of L and the SVD of L - A; the pair
+    # takes each once, plus the SVD of L for the trace bound's merge radius
+    from blaschke_verify import bounds, linalg
+
+    counts = {"schur_decompose": 0, "singular_values": 0}
+    for module, name in ((linalg, "schur_decompose"), (bounds, "schur_decompose"),
+                         (linalg, "singular_values")):
+        _counting(monkeypatch, module, name, counts)
+    A, L = random_lowrank_pair(spawn_rng(38, 1), max_dim=6)
+    want = _fresh_checks(A, L)
+    check_theorem3(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    counts.update(schur_decompose=0, singular_values=0)
+    assert [check_theorem3(A, L), check_schur_chain(A, L)] == want
+    assert counts == {"schur_decompose": 1, "singular_values": 2}
+
+
 def test_trace_checks_agree_across_threads():
     """Eight threads on two cores, switching every 10 us, each running both
     checks over pairs that the other threads run too, give the serial reports."""

@@ -4,6 +4,7 @@ from scipy.spatial import ConvexHull
 
 from blaschke_verify.errors import NonFiniteValue, NotHermitian, NotPSD
 from blaschke_verify.linalg import (
+    NR_ANGLES,
     NR_BRACKET_TOL,
     NumericalRangeSupport,
     cluster_points,
@@ -169,6 +170,44 @@ def test_numerical_range_nilpotent():
         assert s.distance(z) == pytest.approx(1.5, abs=1e-8)
 
 
+def test_antipodal_grid_matches_direct_eigensolves():
+    # support and boundary point at theta + pi come from the bottom eigenpair
+    # at theta, and each phase is exactly the negated one its Hermitian part
+    # was solved with.  They match a top eigenpair solved at theta + pi, the
+    # point wherever that eigenvalue is simple (its vector is then defined).
+    half = NR_ANGLES // 2
+    rng = np.random.default_rng(23)
+    fixtures = [rand_complex(rng, (n, n)) for n in range(1, 11)] + [
+        np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),
+        np.diag([1.0 + 0j, -1.0 + 0j]),
+    ]
+    for A in fixtures:
+        s = NumericalRangeSupport(A)
+        assert np.array_equal(s._phases[half:], -s._phases[:half])
+        assert np.array_equal(s.thetas[half:], s.thetas[:half] + np.pi)
+        scale = max(1.0, float(np.max(np.abs(s.support))))
+        for k in range(half, NR_ANGLES):
+            ph = np.exp(-1j * s.thetas[k])
+            w, V = np.linalg.eigh((ph * A + np.conj(ph) * A.conj().T) / 2)
+            assert abs(s.support[k] - w[-1]) <= 1e-14 * scale
+            if w.size == 1 or w[-1] - w[-2] > 1e-2 * scale:
+                v = V[:, -1]
+                assert abs(s.points[k] - v.conj() @ A @ v) <= 1e-14 * scale
+
+
+def test_grid_is_one_eigensolve_of_half_the_angles(monkeypatch):
+    shapes = []
+    eigh = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    NumericalRangeSupport(rand_complex(np.random.default_rng(24), (6, 6)))
+    assert shapes == [(NR_ANGLES // 2, 6, 6)]
+
+
 def _segment_distance(z, a, b):
     e = b - a
     t = min(1.0, max(0.0, ((z - a) * np.conj(e)).real / abs(e) ** 2))
@@ -206,11 +245,22 @@ def test_numerical_range_distance_matches_hull_of_normal_matrix(offset):
 
 
 @pytest.mark.parametrize("offset", [0.5, 1e-3])
-def test_numerical_range_distance_matches_cone(offset):
+def test_numerical_range_distance_matches_cone(offset, monkeypatch):
     # W(A) for A = [[0, 1], [0, 0]] (+) [c] is the hull of the disk |z| <= r,
     # r = 1/2, and the point c: a cone whose flat edges run from c to the
     # tangent points r e^{+-i phi}, cos(phi) = r/c.  No grid angle is the
     # edge normal, so only refined boundary points close a bracket there.
+    # Off a flat edge f' jumps and the secant stalls; a step to the normal
+    # angle of the chord between the bracket ends closes each such bracket
+    # within 30 single-angle eigensolves.
+    calls = []
+    support_at = NumericalRangeSupport._support_at
+
+    def counting(self, theta):
+        calls.append(theta)
+        return support_at(self, theta)
+
+    monkeypatch.setattr(NumericalRangeSupport, "_support_at", counting)
     c, r = 1.5, 0.5
     A = np.zeros((3, 3), dtype=complex)
     A[0, 1], A[2, 2] = 1.0, c
@@ -221,10 +271,13 @@ def test_numerical_range_distance_matches_cone(offset):
         tangent = r * np.exp(sign * 1j * phi)
         points += [w * c + (1 - w) * tangent + offset * np.exp(sign * 1j * phi)
                    for w in (0.1, 0.5, 0.9)]
-    for lam in points:
+    for k, lam in enumerate(points):
+        calls.clear()
         lo, hi = s.bracket(lam)
         assert abs(lo - offset) <= 1e-12
         assert 0.0 <= hi - lo <= NR_BRACKET_TOL * max(1.0, abs(lam))
+        if k >= 2:  # off a flat edge
+            assert 0 < len(calls) <= 30
     assert s.bracket(0.5 * c) == (0.0, 0.0)
 
 
