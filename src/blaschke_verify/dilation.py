@@ -29,7 +29,7 @@ import numpy as np
 
 from .bounds import BoundReport
 from .errors import DilationError, NotAContraction
-from .linalg import cluster_points, operator_norm, psd_sqrt, schur_decompose
+from .linalg import cluster_points, operator_norm, operator_norm_over, psd_sqrt, schur_decompose
 from .measure import AtomicMeasure, reflect_measure, total_variation
 from .operator_model import CONTRACTION_SLACK, ContractionSystem
 from .transform import eval_K, taylor_moment
@@ -50,7 +50,11 @@ class DilationResult:
     U: np.ndarray
     embed: np.ndarray
     N: int
-    unitarity_residual: float
+
+    @property
+    def unitarity_residual(self) -> float:
+        """||U*U - I||, which dilate only gated against 1e-10 * dim."""
+        return operator_norm(self.U.conj().T @ self.U - np.eye(self.dim))
 
     @property
     def n(self) -> int:
@@ -78,8 +82,9 @@ def dilate(A, N: int) -> DilationResult:
     eye = np.eye(n, dtype=complex)
     DA = psd_sqrt(eye - A.conj().T @ A)
     DAs = psd_sqrt(eye - A @ A.conj().T)
-    inter = operator_norm(A @ DA - DAs @ A)
-    if inter > 1e-8 * max(1.0, nrm):
+    bound = 1e-8 * max(1.0, nrm)
+    inter = operator_norm_over(A @ DA - DAs @ A, bound)
+    if inter > bound:
         raise DilationError(f"defect intertwining broke: ||A D - D' A|| = {inter:.3e}")
     dim = (N + 1) * n
     U = np.zeros((dim, dim), dtype=complex)
@@ -90,23 +95,25 @@ def dilate(A, N: int) -> DilationResult:
     U[b(1), b(N)] = -A.conj().T
     for k in range(2, N + 1):
         U[b(k), b(k - 1)] = eye
-    resid = operator_norm(U.conj().T @ U - np.eye(dim))
-    if resid > UNITARITY_TOL * dim:
+    bound = UNITARITY_TOL * dim
+    resid = operator_norm_over(U.conj().T @ U - np.eye(dim), bound)
+    if resid > bound:
         raise DilationError(f"unitarity residual {resid:.3e} > 1e-10 * {dim}")
     embed = np.zeros((dim, n), dtype=complex)
     embed[:n, :] = eye
-    # k = 0 compares I with I, so the check starts at the first power
-    Uk = np.eye(dim, dtype=complex)
-    Ak = eye.copy()
+    # k = 0 compares I with I, so the check starts at the first power; the
+    # corner of U^k is the top block of its first block column V_k = U V_{k-1}
+    Vk, Ak = embed, eye
     for k in range(1, N + 1):
-        Uk = Uk @ U
+        Vk = U @ Vk
         Ak = Ak @ A
-        err = operator_norm(Uk[:n, :n] - Ak)
-        if err > COMPRESSION_TOL * max(nrm, 1e-30) ** k:
+        bound = COMPRESSION_TOL * max(nrm, 1e-30) ** k
+        err = operator_norm_over(Vk[:n] - Ak, bound)
+        if err > bound:
             raise DilationError(
                 f"compression broke at order {k}: residual {err:.3e}"
             )
-    return DilationResult(U=U, embed=embed, N=N, unitarity_residual=resid)
+    return DilationResult(U=U, embed=embed, N=N)
 
 
 def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
@@ -127,7 +134,7 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
         )
     sf = schur_decompose(d.U)
     off = sf.T - np.diag(np.diag(sf.T))
-    offres = operator_norm(off)
+    offres = operator_norm_over(off, DIAGONAL_RESIDUAL_TOL)
     if offres > DIAGONAL_RESIDUAL_TOL:
         raise DilationError(
             f"Schur form of the unitary is not diagonal: residual {offres:.3e}"

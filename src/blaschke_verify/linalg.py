@@ -174,6 +174,18 @@ def operator_norm(A) -> float:
     return float(s[0]) if s.size else 0.0
 
 
+def operator_norm_over(A, bound: float) -> float:
+    """A value that exceeds bound exactly when operator_norm(A) does, and
+    equals operator_norm(A) then: for a check that only gates on the norm.
+
+    The Frobenius norm bounds the spectral norm from above, so a Frobenius
+    norm at or below bound (less 1e-12 relative, for the rounding of both)
+    is returned as it is, and only a larger one takes the SVD.
+    """
+    f = float(np.linalg.norm(A))
+    return f if f <= bound * (1.0 - 1e-12) else operator_norm(A)
+
+
 def psd_sqrt(H) -> np.ndarray:
     """Hermitian square root of a PSD matrix via the Hermitian eigensolver.
 
@@ -187,7 +199,7 @@ def psd_sqrt(H) -> np.ndarray:
     if M.shape[0] == 0:
         return M.copy()
     scale = max(operator_norm(M), 1.0)
-    herm_defect = operator_norm(M - M.conj().T)
+    herm_defect = operator_norm_over(M - M.conj().T, PSD_TOL * scale)
     if herm_defect > PSD_TOL * scale:
         raise NotHermitian(
             f"||H - H*|| = {herm_defect:.3e} exceeds {PSD_TOL:.1e}*max(||H||, 1)"
@@ -325,7 +337,7 @@ class NumericalRangeSupport:
         angles, pts, steps = self.thetas, self.points, NR_MAX_STEPS
         while True:
             w = lam - pts
-            e = np.roll(pts, -1) - pts
+            e = _roll(pts, -1) - pts
             cross = e.real * w.imag - e.imag * w.real
             # lam is inside a counterclockwise polygon of positive area when
             # it is on the inner side of every edge; a degenerate polygon has
@@ -343,7 +355,7 @@ class NumericalRangeSupport:
                     f"distance bracket [0, {hi:.3e}] at {lam} did not close "
                     f"within {NR_MAX_STEPS} evaluations"
                 )
-            nxt = np.roll(angles, -1)
+            nxt = _roll(angles, -1)
             nxt[-1] += 2.0 * np.pi
             mids = (angles[out] + nxt[out]) / 2
             evals = [self._support_at(float(t)) for t in mids]
@@ -418,12 +430,17 @@ def _merge_repeats(pts: np.ndarray, gap: float) -> np.ndarray:
     side; merged copies (within gap of the previous point) make them edges of
     length 0, which no point lies outside.
     """
-    same = np.abs(pts - np.roll(pts, 1)) <= gap
+    same = np.abs(pts - _roll(pts, 1)) <= gap
     if same.all():
         return np.full_like(pts, pts[0])
     s = int(np.argmin(same))  # pts[s] starts a run
-    starts = np.where(np.roll(~same, -s), np.arange(pts.size), 0)
-    return np.roll(np.roll(pts, -s)[np.maximum.accumulate(starts)], s)
+    starts = np.where(_roll(~same, -s), np.arange(pts.size), 0)
+    return _roll(_roll(pts, -s)[np.maximum.accumulate(starts)], s)
+
+
+def _roll(x: np.ndarray, shift: int) -> np.ndarray:
+    """np.roll of a 1-d array by |shift| < x.size, without its n-d overhead."""
+    return np.concatenate((x[-shift:], x[:-shift]))
 
 
 def polynomial_roots(coeffs) -> np.ndarray:

@@ -82,26 +82,75 @@ def blaschke_sum(z: ZeroSet) -> float:
     return float(sum(m * (1.0 / abs(loc) - 1.0) for loc, m in z.zeros))
 
 
+def _min_cost_assignment(cost: np.ndarray) -> list:
+    """Columns cols of a minimum-sum assignment of the square cost matrix:
+    row i takes column cols[i].
+
+    Kuhn-Munkres (Kuhn 1955; Munkres 1957) with shortest augmenting paths
+    and row and column potentials u, v, O(k^3).  Each row takes its minimum
+    unless an earlier row took that column; when none collide this is
+    optimal, as no permutation sums below the row minima.  Otherwise, from
+    u = the row minima and v = 0, each row left over is joined by a Dijkstra
+    search on the reduced costs cost - u - v >= 0 (0 on assigned pairs) to
+    the nearest free column; the potentials then shift so that the path is
+    tight, and the assignment is flipped along it.
+    """
+    k = cost.shape[0]
+    cols, rows = cost.argmin(axis=1).tolist(), [-1] * k
+    for i, j in enumerate(cols):
+        if rows[j] < 0:
+            rows[j] = i
+    left = [i for i, j in enumerate(cols) if rows[j] != i]
+    if not left:
+        return cols
+    cols, rows = np.array(cols), np.array(rows)
+    cols[left] = -1
+    u, v = cost.min(axis=1), np.zeros(k)
+    for i in left:
+        dist = cost[i] - u[i] - v  # shortest reduced path from row i to each column
+        via = np.full(k, i)  # the row just before each column on that path
+        done = np.zeros(k, dtype=bool)
+        while True:
+            j = int(np.where(done, np.inf, dist).argmin())
+            done[j] = True
+            if rows[j] < 0:
+                break
+            r = rows[j]
+            step = dist[j] + cost[r] - u[r] - v
+            closer = ~done & (step < dist)
+            dist[closer], via[closer] = step[closer], r
+        seen = np.flatnonzero(done)
+        shift = dist[j] - dist[seen]
+        v[seen] -= shift
+        u[i] += dist[j]
+        held = rows[seen] >= 0  # every seen column but the free one j
+        u[rows[seen[held]]] += shift[held]
+        while j >= 0:  # row i has no column, so the flip stops there
+            r = via[j]
+            rows[j], cols[r], j = r, j, cols[r]
+    return cols.tolist()
+
+
 def match_zero_sets(a: ZeroSet, b: ZeroSet, tol: float = PAIRING_TOL):
     """Optimal 1-1 pairing of two zero sets.
 
-    Returns (matched, worst_distance): matched is True when both sets have the
-    same number of zeros, the assignment puts every pair within tol, and the
-    paired multiplicities agree.  worst_distance is the largest paired
-    distance (0.0 for two empty sets, inf when the counts differ).
+    The pairing is a minimum-sum assignment on the distances between zeros
+    (Kuhn-Munkres, _min_cost_assignment).  Returns (matched, worst_distance):
+    matched is True when both sets have the same number of zeros, the
+    assignment puts every pair within tol, and the paired multiplicities
+    agree.  worst_distance is the largest paired distance (0.0 for two empty
+    sets, inf when the counts differ).
     """
     if len(a.zeros) != len(b.zeros) or a.count != b.count:
         return False, math.inf
     if not a.zeros:
         return True, 0.0
-    from scipy.optimize import linear_sum_assignment
-
     za = np.array([z for z, _ in a.zeros])
     zb = np.array([z for z, _ in b.zeros])
     cost = np.abs(za[:, None] - zb[None, :])
-    rows, cols = linear_sum_assignment(cost)
-    worst = float(cost[rows, cols].max())
-    mults_ok = all(a.zeros[i][1] == b.zeros[j][1] for i, j in zip(rows, cols))
+    cols = _min_cost_assignment(cost)
+    worst = float(cost[np.arange(len(cols)), cols].max())
+    mults_ok = all(a.zeros[i][1] == b.zeros[j][1] for i, j in enumerate(cols))
     return (worst <= tol and mults_ok), worst
 
 

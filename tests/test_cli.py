@@ -3,10 +3,16 @@
 import csv
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
 
+import blaschke_verify
+from blaschke_verify import cli
 from blaschke_verify.cli import main
 from blaschke_verify.linalg import NumericalRangeSupport
 
@@ -408,3 +414,35 @@ def test_failed_instance_dumped_to_stderr(capsys):
     assert len(dumps) == 2
     assert dumps[0]["seed"] == 3
     assert "instance" in dumps[0]
+
+
+def test_cli_runs_do_not_import_scipy_optimize():
+    # a fresh interpreter: other tests import scipy.optimize as a reference
+    src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
+    script = (
+        "import contextlib, io, sys\n"
+        "from blaschke_verify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    codes = [main(['verify-measure', {SHARP!r}]),\n"
+        "             main(['random-suite', '--which', 'all', '--instances', '5'])]\n"
+        "print(codes, 'scipy.optimize' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    done = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
+        cwd=pathlib.Path(__file__).resolve().parents[1], timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[0, 0] False\n"
+
+
+def test_passing_instances_build_no_replay_payload(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("payload built for a passing instance")
+
+    for name in ("system_to_jsonable", "measure_to_jsonable", "matrix_to_json",
+                 "line_atoms_to_jsonable"):
+        monkeypatch.setattr(cli, name, refuse)
+    code, out, err = run(capsys, ["random-suite", "--which", "all", "--instances", "4"])
+    assert code == 0 and err == ""

@@ -69,6 +69,22 @@ def test_unitary_input_dilates_trivially_per_order():
         assert np.linalg.norm(comp - np.linalg.matrix_power(A, k), 2) < 1e-9
 
 
+def test_dilate_takes_svds_of_n_square_matrices_only(monkeypatch):
+    # the gates of the (N+1)n-square products read Frobenius norms; the
+    # residual is formed again only when it is read
+    import blaschke_verify.linalg as la
+
+    shapes = []
+    svd = la.singular_values
+    monkeypatch.setattr(la, "singular_values", lambda A: shapes.append(np.shape(A)) or svd(A))
+    A = random_contraction(spawn_rng(42, 0), 3)
+    d = dilate(A, 6)
+    assert set(shapes) == {(3, 3)}
+    want = np.linalg.svd(d.U.conj().T @ d.U - np.eye(d.dim), compute_uv=False)[0]
+    assert d.unitarity_residual == want
+    assert shapes[-1] == (21, 21)
+
+
 def test_dilate_rejects_expansion():
     with pytest.raises(NotAContraction):
         dilate(np.array([[1.2 + 0j]]), 2)

@@ -10,6 +10,7 @@ from blaschke_verify.linalg import (
     cluster_points,
     eigenvalues_clustered,
     operator_norm,
+    operator_norm_over,
     polynomial_roots,
     psd_sqrt,
     schur_decompose,
@@ -127,6 +128,44 @@ def test_trace_and_operator_norm():
     A = np.diag([3.0, -4.0]).astype(complex)
     assert trace_norm(A) == pytest.approx(7.0)
     assert operator_norm(A) == pytest.approx(4.0)
+
+
+def test_operator_norm_over_gates_like_the_svd(monkeypatch):
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n = int(rng.integers(1, 9))
+        A = rand_complex(rng, (n, n))
+        if rng.uniform() < 0.3:  # rank one: ||A||_2 = ||A||_F up to rounding
+            A = np.outer(rand_complex(rng, n), rand_complex(rng, n).conj())
+        two, fro = operator_norm(A), float(np.linalg.norm(A))
+        for bound in (0.0, 0.5 * two, two * (1 - 1e-15), two, (two + fro) / 2, fro,
+                      fro * (1 + 1e-15)):
+            got = operator_norm_over(A, bound)
+            assert (got > bound) == (two > bound)
+            if got > bound:
+                assert got == two
+    # a Frobenius norm below the bound settles the gate without an SVD
+    A = rand_complex(rng, (6, 6))
+    bound = 2 * np.linalg.norm(A)
+    monkeypatch.setattr("blaschke_verify.linalg.singular_values", None)
+    assert operator_norm_over(A, bound) <= bound
+
+
+def test_numerical_range_takes_no_np_roll(monkeypatch):
+    # this pair has an eigenvalue of L that only refining the polygon places,
+    # so the grid, the merge of repeats and the refinement all run
+    A, L = random_lowrank_pair(spawn_rng(4, 175), max_dim=10)
+    want = NumericalRangeSupport(A)
+    lams = [cl.center for cl in eigenvalues_clustered(L)]
+    brackets = [want.bracket(lam) for lam in lams]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roll called")
+
+    monkeypatch.setattr(np, "roll", refuse)
+    s = NumericalRangeSupport(A)
+    assert [s.bracket(lam) for lam in lams] == brackets
+    assert np.array_equal(s.points, want.points)
 
 
 def test_psd_sqrt_squares_back():

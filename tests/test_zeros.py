@@ -24,6 +24,7 @@ from blaschke_verify.random_instances import random_conditioned_measure, spawn_r
 from blaschke_verify.transform import CauchyFunction
 from blaschke_verify.zeros import (
     METHOD_ARG,
+    PAIRING_TOL,
     ZeroSet,
     blaschke_sum,
     match_zero_sets,
@@ -78,6 +79,61 @@ def test_match_zero_sets_basics():
         ZeroSet(zeros=(), method="a"), ZeroSet(zeros=(), method="b")
     )
     assert ok and worst == 0.0
+
+
+def scipy_match(a, b, tol):
+    """match_zero_sets as it was with scipy's assignment, the reference."""
+    from scipy.optimize import linear_sum_assignment
+
+    if len(a.zeros) != len(b.zeros) or a.count != b.count:
+        return False, math.inf
+    za = np.array([z for z, _ in a.zeros])
+    zb = np.array([z for z, _ in b.zeros])
+    cost = np.abs(za[:, None] - zb[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    worst = float(cost[rows, cols].max())
+    mults_ok = all(a.zeros[i][1] == b.zeros[j][1] for i, j in zip(rows, cols))
+    return (worst <= tol and mults_ok), worst
+
+
+def test_min_cost_assignment_matches_scipy():
+    from scipy.optimize import linear_sum_assignment
+
+    rng = np.random.default_rng(31)
+    for _ in range(1200):
+        k = int(rng.integers(1, 71))
+        za = 0.5 * rng.uniform(size=k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        perm = rng.permutation(k)
+        eps = 10.0 ** rng.uniform(-12, 0)
+        zb = za[perm] + eps * 0.4 * (rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k))
+        mults = rng.integers(1, 3, size=k)
+        a = ZeroSet(zeros=tuple(zip(za, mults)), method="a")
+        b = ZeroSet(zeros=tuple(zip(zb, mults[perm])), method="b")
+        cost = np.abs(za[:, None] - zb[None, :])
+        rows, ref = linear_sum_assignment(cost)
+        cols = zeros_mod._min_cost_assignment(cost)
+        assert sorted(cols) == list(range(k))
+        assert cost[rows, cols].sum() == cost[rows, ref].sum()
+        # distinct random distances: the optimum is unique
+        for tol in (PAIRING_TOL, eps):
+            assert match_zero_sets(a, b, tol) == scipy_match(a, b, tol)
+    # integer costs: many ties and many optima, only the sum is fixed
+    for _ in range(400):
+        k = int(rng.integers(1, 30))
+        cost = rng.integers(0, int(rng.integers(2, 6)), size=(k, k)).astype(float)
+        rows, ref = linear_sum_assignment(cost)
+        cols = zeros_mod._min_cost_assignment(cost)
+        assert sorted(cols) == list(range(k))
+        assert cost[rows, cols].sum() == cost[rows, ref].sum()
+
+
+def test_match_zero_sets_when_row_minima_collide():
+    # both zeros of a are nearest to 0.04: the pairing must trade one of them
+    a = ZeroSet(zeros=((0.0j, 1), (0.1 + 0j, 1)), method="a")
+    b = ZeroSet(zeros=((0.04 + 0j, 1), (0.2 + 0j, 1)), method="b")
+    assert list(zeros_mod._min_cost_assignment(np.array([[0.04, 0.2], [0.06, 0.1]]))) == [0, 1]
+    assert match_zero_sets(a, b, PAIRING_TOL) == (False, 0.1)
+    assert match_zero_sets(a, b, 0.1) == (True, 0.1)
 
 
 def test_sharp_example_all_three_routes():
