@@ -40,6 +40,7 @@ from .operator_model import (
     build_system_from_measure,
     eval_h_resolvent,
     perturbation_determinant,
+    rank_one_factors,
     system_from_jsonable,
     system_to_jsonable,
 )
@@ -90,6 +91,7 @@ __all__ = [
     "measure_to_jsonable",
     "perturbation_determinant",
     "rational_form",
+    "rank_one_factors",
     "reflect_measure",
     "roundtrip_check",
     "shift_measure",

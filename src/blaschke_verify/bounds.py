@@ -36,14 +36,16 @@ from .linalg import (
     trace_norm,
 )
 from .measure import AtomicMeasure, shift_measure, total_variation
-from .operator_model import ContractionSystem, build_system_from_measure
+from .operator_model import ContractionSystem, build_system_from_measure, rank_one_factors
 from .transform import CauchyFunction
-from .zeros import blaschke_sum, zeros_via_L, zeros_via_numerator_roots
+from .zeros import METHOD_L, ZeroSet, blaschke_sum, zeros_via_L, zeros_via_numerator_roots
 
 BLASCHKE_TOL = 1e-7
 SCHUR_LINK_TOL = 1e-9
 JENSEN_TOL = 1e-8
 REAL_LINE_TOL = 1e-8
+# rhs_kind of a bound whose right side is the total variation of one representative
+_SURROGATE = "total variation surrogate"
 
 
 def _plain(obj):
@@ -107,10 +109,12 @@ def _link(name: str, lhs: float, rhs: float, tol: float) -> dict:
     }
 
 
-def _zeros_detail(zs) -> list:
-    return [
-        {"re": loc.real, "im": loc.imag, "multiplicity": m} for loc, m in zs.zeros
-    ]
+def _blaschke_report(name: str, zs: ZeroSet, rhs: float, tol: float, **details) -> BoundReport:
+    """Blaschke sum of zs against rhs, the zeros listed in details["zeros"]."""
+    zeros = [{"re": loc.real, "im": loc.imag, "multiplicity": m} for loc, m in zs.zeros]
+    return BoundReport(
+        name=name, lhs=blaschke_sum(zs), rhs=rhs, tol=tol, details={"zeros": zeros, **details}
+    )
 
 
 def summarize(reports) -> dict:
@@ -128,13 +132,8 @@ def check_theorem1(s: ContractionSystem, tol: float = BLASCHKE_TOL) -> BoundRepo
     Zeros come through the reciprocal-eigenvalue route, so this is the
     contraction bound checked end to end through the operator model.
     """
-    zs = zeros_via_L(s)
-    return BoundReport(
-        name="contraction-zero-bound",
-        lhs=blaschke_sum(zs),
-        rhs=s.norm_product(),
-        tol=tol,
-        details={"zeros": _zeros_detail(zs), "dimension": s.n},
+    return _blaschke_report(
+        "contraction-zero-bound", zeros_via_L(s), s.norm_product(), tol, dimension=s.n
     )
 
 
@@ -148,18 +147,11 @@ def check_theorem2(sigma: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundRepo
     if sigma.lebesgue != 0:
         raise NonAtomicMeasure("shifted-mode zero bound needs an atomic measure")
     if sigma.natoms == 0:
-        zs_detail: list = []
-        lhs = 0.0
+        zs = ZeroSet(zeros=(), method=METHOD_L)
     else:
         zs = zeros_via_L(build_system_from_measure(sigma))
-        zs_detail = _zeros_detail(zs)
-        lhs = blaschke_sum(zs)
-    return BoundReport(
-        name="shifted-transform-zero-bound",
-        lhs=lhs,
-        rhs=total_variation(sigma),
-        tol=tol,
-        details={"zeros": zs_detail, "rhs_kind": "total variation surrogate"},
+    return _blaschke_report(
+        "shifted-transform-zero-bound", zs, total_variation(sigma), tol, rhs_kind=_SURROGATE
     )
 
 
@@ -182,16 +174,8 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
         raise NumericalError(
             f"shift raised total variation: {shifted_rhs!r} > {rhs!r}"
         )
-    return BoundReport(
-        name="direct-transform-zero-bound",
-        lhs=blaschke_sum(zs),
-        rhs=rhs,
-        tol=tol,
-        details={
-            "zeros": _zeros_detail(zs),
-            "rhs_kind": "total variation surrogate",
-            "shifted_rhs": shifted_rhs,
-        },
+    return _blaschke_report(
+        "direct-transform-zero-bound", zs, rhs, tol, rhs_kind=_SURROGATE, shifted_rhs=shifted_rhs
     )
 
 
@@ -378,8 +362,8 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     Im(lam) > 0 (numerically, > 1e-8) against sum |s_j| |c_j|.
 
     The operator route: the resolvent identity needs the first-moment weights
-    c'_j = s_j c_j.  With A = diag(s_j), phi'_j = sqrt|c'_j|,
-    psi'_j = conj(c'_j/|c'_j|) sqrt|c'_j| and L = A - phi' psi'*,
+    c'_j = s_j c_j.  With A = diag(s_j), (phi', psi') = rank_one_factors(c')
+    and L = A - phi' psi'*,
 
         1 + <(lam - A)^{-1} phi', psi'> = -lam h(lam),
 
@@ -392,10 +376,7 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     cc = np.array([complex(c) for _, c in atoms])
     if cc.size == 0 or abs(np.sum(cc) - 1.0) > 1e-12:
         raise NotNormalized(f"weights sum to {complex(np.sum(cc))!r}, need 1")
-    cp = ss * cc
-    mod = np.abs(cp)
-    phi = np.sqrt(mod).astype(complex)
-    psi = np.conj(np.where(mod > 0, cp / np.where(mod > 0, mod, 1.0), 0.0)) * np.sqrt(mod)
+    phi, psi = rank_one_factors(ss * cc)
     L = np.diag(ss).astype(complex) - np.outer(phi, np.conj(psi))
     clusters = eigenvalues_clustered(L)
     lhs = 0.0

@@ -39,6 +39,8 @@ COMPRESSION_TOL = 1e-10
 EIGENVALUE_MODULUS_TOL = 1e-9
 EIGEN_CLUSTER_TOL = 1e-8
 DIAGONAL_RESIDUAL_TOL = 1e-8
+# Taylor coefficients of h and of the extracted measure's transform agree to this
+TAYLOR_TOL = 1e-9
 # spectral weights below this (relative to ||phi|| ||psi||) are rounding dust
 WEIGHT_DROP_REL = 1e-14
 
@@ -50,6 +52,7 @@ class DilationResult:
     U: np.ndarray
     embed: np.ndarray
     N: int
+    powers: tuple  # A^0, ..., A^N, the corners of U^0, ..., U^N
 
     @property
     def unitarity_residual(self) -> float:
@@ -103,17 +106,17 @@ def dilate(A, N: int) -> DilationResult:
     embed[:n, :] = eye
     # k = 0 compares I with I, so the check starts at the first power; the
     # corner of U^k is the top block of its first block column V_k = U V_{k-1}
-    Vk, Ak = embed, eye
+    Vk, powers = embed, [eye]
     for k in range(1, N + 1):
         Vk = U @ Vk
-        Ak = Ak @ A
+        powers.append(powers[-1] @ A)
         bound = COMPRESSION_TOL * max(nrm, 1e-30) ** k
-        err = operator_norm_over(Vk[:n] - Ak, bound)
+        err = operator_norm_over(Vk[:n] - powers[-1], bound)
         if err > bound:
             raise DilationError(
                 f"compression broke at order {k}: residual {err:.3e}"
             )
-    return DilationResult(U=U, embed=embed, N=N)
+    return DilationResult(U=U, embed=embed, N=N, powers=tuple(powers))
 
 
 def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
@@ -175,7 +178,7 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
     return measure
 
 
-def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = 1e-9) -> BoundReport:
+def roundtrip_check(s: ContractionSystem, N: int, taylor_tol: float = TAYLOR_TOL) -> BoundReport:
     """Dilate A to order N and run roundtrip_report on the result."""
     return roundtrip_report(s, dilate(s.A, N), taylor_tol)
 
@@ -193,14 +196,12 @@ def roundtrip_report(s: ContractionSystem, d: DilationResult, taylor_tol: float)
     """
     mu = extract_spectral_measure(d, s.phi, s.psi)
     refl = reflect_measure(mu)
-    coeff_errs = [0.0]  # both transforms are exactly 1 at the origin
-    Am = np.eye(s.n, dtype=complex)
-    for m in range(1, d.N + 2):
-        want = complex(np.vdot(s.psi, Am @ s.phi))
-        # m-th coefficient of h~ is the (m-1)-th moment of the reflection
-        got = taylor_moment(refl, m - 1)
-        coeff_errs.append(abs(want - got))
-        Am = Am @ s.A
+    # both transforms are exactly 1 at the origin; the m-th coefficient of h~,
+    # m >= 1, is the (m-1)-th moment of the reflection
+    coeff_errs = [0.0] + [
+        abs(complex(np.vdot(s.psi, Ak @ s.phi)) - taylor_moment(refl, k))
+        for k, Ak in enumerate(d.powers)
+    ]
     worst = max(coeff_errs)
     if worst > taylor_tol:
         raise DilationError(

@@ -2,11 +2,10 @@
 multiple of normalized Lebesgue measure.
 
 The calculus implemented here (total variation, the shift that realizes the
-backward-shift operator on Cauchy transforms, its right inverse, reflection,
-polar decomposition) is everything the rest of the package needs.  Only the
-zeroth moment of the Lebesgue component survives a Cauchy transform, so a
-scalar coefficient is all we track for it; general absolutely continuous
-parts are out of scope.
+backward-shift operator on Cauchy transforms, its right inverse, reflection)
+is everything the rest of the package needs.  Only the zeroth moment of the
+Lebesgue component survives a Cauchy transform, so a scalar coefficient is
+all we track for it; general absolutely continuous parts are out of scope.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from .codec import atom_entries, complex_from_json, complex_to_json, finite, real_from_json
-from .errors import NonAtomicMeasure, PointNotOnCircle
+from .errors import PointNotOnCircle
 
 # points nearer the circle than this are snapped onto it, further are rejected
 POINT_REPAIR_BAND = 1e-9
@@ -155,21 +154,6 @@ def reflect_measure(mu: AtomicMeasure) -> AtomicMeasure:
         atoms=[(p.conj(), w) for p, w in mu.atoms],
         lebesgue=mu.lebesgue,
     )
-
-
-def polar_decompose(mu: AtomicMeasure) -> tuple[np.ndarray, np.ndarray]:
-    """Split each weight into modulus and unimodular phase (d mu = nu d|mu|).
-
-    Returns (moduli, phases) with moduli >= 0 and |phases| = 1, per atom.
-
-    Requires a purely atomic measure; zero weights cannot occur (dropped at
-    construction), so phases are well defined.
-    """
-    if mu.lebesgue != 0:
-        raise NonAtomicMeasure("polar decomposition needs lebesgue = 0")
-    moduli = np.abs(mu.weights)
-    phases = mu.weights / np.where(moduli > 0, moduli, 1.0)
-    return moduli, phases
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from .errors import (
     SingularResolvent,
 )
 from .linalg import DEFAULT_CLUSTER_TOL, as_square_matrix, eigenvalues_clustered, operator_norm
-from .measure import AtomicMeasure, polar_decompose
+from .measure import AtomicMeasure
 
 CONTRACTION_SLACK = 1e-10
 BOUNDARY_TOL = 1e-8
@@ -94,12 +94,18 @@ def build_system_from_measure(sigma: AtomicMeasure) -> ContractionSystem:
         raise NonAtomicMeasure("operator model needs a purely atomic measure")
     if sigma.natoms == 0:
         raise EmptyMeasure("operator model needs at least one atom")
-    moduli, phases = polar_decompose(sigma)
+    phi, psi = rank_one_factors(sigma.weights)
+    return ContractionSystem(A=np.diag(np.conj(sigma.points)), phi=phi, psi=psi)
+
+
+def rank_one_factors(weights) -> tuple[np.ndarray, np.ndarray]:
+    """phi = sqrt|c| and psi = conj(c/|c|) sqrt|c| (0 where c = 0), entrywise,
+    so phi_j conj(psi_j) = c_j and ||phi|| ||psi|| = sum |c_j|."""
+    c = np.asarray(weights, dtype=complex)
+    moduli = np.abs(c)
     root = np.sqrt(moduli)
-    A = np.diag(np.conj(sigma.points))
-    phi = root.astype(complex)
-    psi = np.conj(phases) * root
-    return ContractionSystem(A=A, phi=phi, psi=psi)
+    phases = c / np.where(moduli > 0, moduli, 1.0)
+    return root.astype(complex), np.conj(phases) * root
 
 
 def eval_h_resolvent(s: ContractionSystem, w: complex) -> complex:

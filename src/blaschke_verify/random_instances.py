@@ -3,8 +3,8 @@
 Streams are reproducible across runs and platforms: instance k of a suite
 draws from a fresh PCG64 generator keyed by (seed, k) through numpy's
 SeedSequence spawn mechanism (a hash-based splitting scheme in the splitmix
-tradition), so instances are independent of each other and of the worker
-that happens to execute them.
+tradition), so instances are independent of each other and of the order in
+which they run.
 
 Distribution choices, fixed here so results are comparable across runs:
 contractions are i.i.d. complex Gaussian matrices rescaled by u/||G|| with u

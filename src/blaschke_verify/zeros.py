@@ -76,6 +76,11 @@ class ZeroSet:
     def count(self) -> int:
         return sum(m for _, m in self.zeros)
 
+    def within(self, radius: float) -> "ZeroSet":
+        """The zeros with |z| < radius, the radius another route certified;
+        the method is kept and the radius left unset."""
+        return ZeroSet(tuple((z, m) for z, m in self.zeros if abs(z) < radius), self.method)
+
 
 def blaschke_sum(z: ZeroSet) -> float:
     """sum multiplicity * (1/|zero| - 1); zero for the empty set."""
@@ -212,6 +217,9 @@ _GUARD_REL = 1e-12
 # reject contours passing closer than this (relative) to an atom pole; the
 # nudge ladder reaches 4e-4 so a rejected radius can always be cleared
 _POLE_CLEARANCE_REL = 2e-4
+# relative radius nudges of a contour, growing first: 0, +1e-4, -1e-4, ...,
+# -4e-4 (k * 1e-4 as computed, which for k = 3 is not the literal 3e-4)
+_NUDGES = (0.0,) + tuple(sign * k * 1e-4 for k in range(1, 5) for sign in (1, -1))
 # a cell holding 1.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros);
 # 16 saves little over 8 (a 64-atom draw: 81 contours against 89, no faster)
 _HANKEL_MAX = 8
@@ -334,14 +342,10 @@ def _contour_with_nudges(f: CauchyFunction, center: complex, rho: float):
     the ladder reaches +-4e-4 relative, enough to clear anything the 65536
     node budget cannot resolve.
     """
-    tried = [rho]
-    for j in range(9):
-        if j == 0:
-            r = rho
-        else:
-            step = ((j + 1) // 2) * 1e-4
-            r = rho * (1.0 + step) if j % 2 == 1 else rho * (1.0 - step)
-            tried.append(r)
+    tried = []
+    for nudge in _NUDGES:
+        r = rho * (1.0 + nudge)
+        tried.append(r)
         try:
             return (r, *_contour_moments(f, center, r))
         except (_NearZeroContour, NonIntegerWinding):

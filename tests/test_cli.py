@@ -9,6 +9,7 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
 import blaschke_verify
@@ -446,3 +447,60 @@ def test_passing_instances_build_no_replay_payload(capsys, monkeypatch):
         monkeypatch.setattr(cli, name, refuse)
     code, out, err = run(capsys, ["random-suite", "--which", "all", "--instances", "4"])
     assert code == 0 and err == ""
+
+
+def test_oversized_order_exits_two_before_allocating(capsys, monkeypatch, data_dir):
+    # (10^9 + 1) * 2 squared complex entries overflow numpy's array size
+    def refuse(*args):
+        raise AssertionError("dilate was called")
+
+    monkeypatch.setattr(cli, "dilate", refuse)
+    argv = ["dilate", str(data_dir / "dilate_system.json"), "--order", "1000000000"]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err.startswith("input error: --order 1000000000: a 2000000002x2000000002 dilation")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [
+        ("dilate", ["dilate", "tests/data/dilate_system.json", "--order", "3"]),
+        ("random_system", ["random-suite", "--which", "thm1", "--instances", "2"]),
+    ],
+)
+@pytest.mark.parametrize(
+    "message, shown",
+    [("Unable to allocate 9.9 GiB for an array", "Unable to allocate 9.9 GiB for an array"),
+     ("", "out of memory")],
+)
+def test_memory_error_exits_two_without_traceback(capsys, monkeypatch, name, argv, message, shown):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, name, out_of_memory)
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == f"input error: {shown}; lower the size flags\n"
+
+
+def test_dilation_suite_draws_its_system_by_random_system():
+    # the suite's draw is random_system's stream: same dimension, A, phi,
+    # psi and the order drawn after them, so payloads did not move
+    from blaschke_verify.random_instances import (
+        complex_gaussian,
+        random_contraction,
+        random_system,
+        spawn_rng,
+    )
+
+    for index in range(50):
+        for max_dim in (1, 3, 10):
+            a, b = spawn_rng(5, index), spawn_rng(5, index)
+            s = random_system(a, max_dim=min(5, max_dim))
+            n = int(b.integers(1, min(5, max_dim) + 1))
+            A = random_contraction(b, n)
+            phi, psi = complex_gaussian(b, (n,)), complex_gaussian(b, (n,))
+            assert np.array_equal(s.A, A) and np.array_equal(s.phi, phi)
+            assert np.array_equal(s.psi, psi)
+            assert a.integers(1, 11) == b.integers(1, 11)

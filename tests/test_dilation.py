@@ -1,15 +1,21 @@
 """Unitary dilation, spectral measures, and the moment round trip."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
+from blaschke_verify import cli
 from blaschke_verify.dilation import (
+    TAYLOR_TOL,
     DilationResult,
     dilate,
     extract_spectral_measure,
     roundtrip_check,
+    roundtrip_report,
 )
-from blaschke_verify.errors import NotAContraction
+from blaschke_verify.errors import DilationError, NotAContraction
 from blaschke_verify.measure import total_variation
 from blaschke_verify.operator_model import ContractionSystem
 from blaschke_verify.random_instances import complex_gaussian, random_contraction, spawn_rng
@@ -151,6 +157,25 @@ def test_roundtrip_random():
         assert rep.passed, (trial, rep.to_jsonable())
         assert max(rep.details["taylor_errors"]) < 1e-9
         assert rep.details["reflection_residual"] < 1e-10
+
+
+def test_roundtrip_reads_the_powers_dilate_kept():
+    # the compression gate forms A^0..A^N once; the round trip reads them
+    s = random_sys(45, 3)
+    d = dilate(s.A, 5)
+    assert len(d.powers) == 6
+    for k, Ak in enumerate(d.powers):
+        assert np.allclose(Ak, np.linalg.matrix_power(s.A, k), rtol=0, atol=1e-14)
+    assert roundtrip_report(s, d, TAYLOR_TOL).passed
+    # a kept power that is off shows in the Taylor coefficient it feeds
+    bad = dataclasses.replace(d, powers=d.powers[:3] + (2 * d.powers[3],) + d.powers[4:])
+    with pytest.raises(DilationError, match="diverge at order 4"):
+        roundtrip_report(s, bad, TAYLOR_TOL)
+
+
+def test_taylor_tolerance_has_one_home():
+    assert inspect.signature(roundtrip_check).parameters["taylor_tol"].default is TAYLOR_TOL
+    assert cli._TOL_DEFAULTS["taylor"] is TAYLOR_TOL
 
 
 def test_roundtrip_bound_is_norm_product():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from blaschke_verify.errors import NonAtomicMeasure, NonFiniteValue, PointNotOnCircle
+from blaschke_verify.errors import NonFiniteValue, PointNotOnCircle
 from blaschke_verify.measure import (
     AtomicMeasure,
     UnitPoint,
@@ -12,7 +12,6 @@ from blaschke_verify.measure import (
     inverse_shift,
     measure_from_jsonable,
     measure_to_jsonable,
-    polar_decompose,
     reflect_measure,
     shift_measure,
     total_variation,
@@ -142,15 +141,6 @@ def test_reflect_measure_is_involution():
     rng = np.random.default_rng(103)
     mu = random_measure_simple(rng, 5)
     assert reflect_measure(reflect_measure(mu)) == mu
-
-
-def test_polar_decompose():
-    mu = AtomicMeasure(atoms=((UnitPoint(1.0 + 0j), -2.0 + 0j),))
-    moduli, phases = polar_decompose(mu)
-    assert moduli[0] == pytest.approx(2.0)
-    assert phases[0] == pytest.approx(-1.0)
-    with pytest.raises(NonAtomicMeasure):
-        polar_decompose(AtomicMeasure(atoms=(), lebesgue=1.0 + 0j))
 
 
 def test_json_roundtrip():

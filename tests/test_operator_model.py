@@ -4,6 +4,7 @@ import pytest
 from blaschke_verify.errors import (
     DimensionMismatch,
     EmptyMeasure,
+    NonAtomicMeasure,
     NonFiniteValue,
     NotAContraction,
     OutsideDisk,
@@ -17,6 +18,7 @@ from blaschke_verify.operator_model import (
     eigenvalues_outside_disk,
     eval_h_resolvent,
     perturbation_determinant,
+    rank_one_factors,
     system_from_jsonable,
     system_to_jsonable,
 )
@@ -27,6 +29,24 @@ from conftest import random_measure_simple
 
 def rand_complex(rng, shape):
     return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def test_rank_one_factors():
+    c = np.array([-2.0 + 0j, 0.0, 3.0 - 4.0j, 1e-300j])
+    phi, psi = rank_one_factors(c)
+    assert phi.dtype == psi.dtype == complex
+    assert phi[1] == 0 and psi[1] == 0  # a zero weight gives zero factors
+    assert np.allclose(phi * np.conj(psi), c, rtol=1e-15, atol=0)
+    assert np.array_equal(phi, np.sqrt(np.abs(c)))
+    assert np.allclose(np.abs(psi), np.abs(phi), rtol=1e-15, atol=0)
+    assert np.linalg.norm(phi) * np.linalg.norm(psi) == pytest.approx(np.sum(np.abs(c)))
+    # the measure model takes its phi, psi from here, and needs lebesgue = 0
+    mu = AtomicMeasure(atoms=((UnitPoint(1.0 + 0j), -2.0 + 0j), (1j, 0.5j)))
+    s = build_system_from_measure(mu)
+    want = rank_one_factors(mu.weights)
+    assert np.array_equal(s.phi, want[0]) and np.array_equal(s.psi, want[1])
+    with pytest.raises(NonAtomicMeasure):
+        build_system_from_measure(AtomicMeasure(atoms=mu.atoms, lebesgue=1.0 + 0j))
 
 
 def random_system(rng, n):

@@ -41,11 +41,13 @@ def shifted(mu):
     return CauchyFunction(source=mu, mode="shifted")
 
 
-def cap_zeros(zs, cap):
-    """zs cut to |z| < cap, the radius the contour route certified."""
-    return ZeroSet(
-        zeros=tuple((z, m) for z, m in zs.zeros if abs(z) < cap), method=zs.method
-    )
+def test_zero_set_within_cuts_strictly_below_the_radius():
+    zeros = ((0.5 + 0j, 2), (0.7j, 1), (-0.9 + 0j, 1))
+    zs = ZeroSet(zeros=zeros, method=METHOD_ARG, radius=0.95)
+    cut = zs.within(0.7)
+    assert cut.zeros == ((0.5 + 0j, 2),)  # |0.7i| = 0.7 is not below 0.7
+    assert cut.method == METHOD_ARG and cut.radius is None
+    assert zs.within(1.0).zeros == zs.zeros and zs.within(0.5).zeros == ()
 
 
 def test_zero_set_validation():
@@ -216,7 +218,7 @@ def test_winding_counts_match_root_counts():
         mu = random_conditioned_measure(spawn_rng(99, i), max_atoms=6)
         f = shifted(mu)
         zs_arg = zeros_via_argument_principle(f)
-        zs_roots = cap_zeros(zeros_via_numerator_roots(f), zs_arg.radius)
+        zs_roots = zeros_via_numerator_roots(f).within(zs_arg.radius)
         assert zs_arg.count == zs_roots.count
         hits += zs_arg.count
     assert hits > 0  # the family is not degenerate
@@ -230,7 +232,7 @@ def test_three_way_agreement_random():
         zb = zeros_via_L(build_system_from_measure(mu))
         zc = zeros_via_argument_principle(f)
         ok1, w1 = match_zero_sets(za, zb, tol=1e-7)
-        ok2, w2 = match_zero_sets(zc, cap_zeros(za, zc.radius), tol=1e-7)
+        ok2, w2 = match_zero_sets(zc, za.within(zc.radius), tol=1e-7)
         assert ok1, (i, w1, za.zeros, zb.zeros)
         assert ok2, (i, w2, za.zeros, zc.zeros)
 
@@ -241,7 +243,7 @@ def test_direct_mode_agreement_random(double_zero_measure):
     f = CauchyFunction(source=double_zero_measure, mode="direct")
     za = zeros_via_numerator_roots(f)
     zc = zeros_via_argument_principle(f)
-    ok, worst = match_zero_sets(zc, cap_zeros(za, zc.radius), tol=1e-7)
+    ok, worst = match_zero_sets(zc, za.within(zc.radius), tol=1e-7)
     assert ok, (worst, za.zeros, zc.zeros)
     assert za.count == 2
 
