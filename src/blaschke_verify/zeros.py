@@ -4,10 +4,10 @@
    the closed disk are exactly the reciprocals of zeros of h, multiplicity
    matching algebraic multiplicity;
 2. argument-principle: adaptive winding-number quadrature on circles; a cell
-   holding 1 to 8 zeros, the top circle first, is read off its own contour
-   (the scaled power sums give a Hankel pencil whose eigenvalues, finished by
-   Newton on h, are the zeros), and a cell whose reading fails its checks,
-   or that holds more, is quadrisected into covering circles;
+   holding any number of zeros, the top circle first, is read off its own
+   contour (the scaled power sums give a Hankel pencil whose eigenvalues,
+   finished by Newton on h, are the zeros), and only a cell whose reading
+   fails its checks is quadrisected into covering circles;
 3. numerator-roots: companion-matrix roots of the exact rational numerator.
 
 Cross-validating the three on random instances is the core scientific check
@@ -220,9 +220,24 @@ _POLE_CLEARANCE_REL = 2e-4
 # relative radius nudges of a contour, growing first: 0, +1e-4, -1e-4, ...,
 # -4e-4 (k * 1e-4 as computed, which for k = 3 is not the literal 3e-4)
 _NUDGES = (0.0,) + tuple(sign * k * 1e-4 for k in range(1, 5) for sign in (1, -1))
-# a cell holding 1.._HANKEL_MAX zeros is read off its power sums (_hankel_zeros);
-# 16 saves little over 8 (a 64-atom draw: 81 contours against 89, no faster)
-_HANKEL_MAX = 8
+# the trapezoid nodes new at each doubling level n, computed once per process:
+# all n at the first level, the odd ones after it.  Levels up to _MAX_NODES
+# hold _MAX_NODES values (1 MiB) in all; the levels past it, reached only when
+# the winding settles at 32768 nodes or more, are not kept
+_LEVEL_NODES: dict = {}
+
+
+def _level_nodes(n: int) -> np.ndarray:
+    """exp(2 pi i j / n) for the j new at level n, as a read-only array."""
+    e = _LEVEL_NODES.get(n)
+    if e is None:
+        j = np.arange(n) if n == _BASE_NODES else np.arange(1, n, 2)
+        theta = 2.0 * np.pi * j / n
+        e = np.exp(1j * theta)
+        e.flags.writeable = False
+        if n <= _MAX_NODES:
+            _LEVEL_NODES[n] = e
+    return e
 
 
 def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
@@ -239,9 +254,9 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     Returns (k, M1, M2, err, sums): M1 and M2 are the sums of the zeros
     inside and of their squares, err the moment error estimate below, and
     sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
-    p = 0..2k when 1 <= k <= 8 (_HANKEL_MAX), otherwise ().  They are the
-    means of e^p g over the final rule, e = (w - center)/rho, so they cost
-    one vector product each and no kernel evaluation.
+    p = 0..2k when k >= 1, otherwise ().  They are the means of e^p g over
+    the final rule, e = (w - center)/rho, so they cost one vector product
+    each and no kernel evaluation.
 
     The integrand is the logarithmic derivative of F = h prod_j (w - zeta_j),
     which has the zeros of h and no poles, so the winding counts zeros alone
@@ -259,9 +274,11 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
 
     The rules nest: the nodes of one level are the even nodes of the next,
     so each doubling evaluates the kernel only at the new odd angles and
-    reuses everything else.  The integrand g is nevertheless formed after
-    interleaving, on the full-length arrays: numpy's complex multiply can
-    round the same inputs differently depending on array length and
+    reuses everything else; the nodes themselves come from _level_nodes, and
+    M1 and M2 are formed only at the levels after the winding has settled,
+    the only ones that read them.  The integrand g is nevertheless formed
+    after interleaving, on the full-length arrays: numpy's complex multiply
+    can round the same inputs differently depending on array length and
     alignment, and forming g on the odd subset alone would move the last
     bits of the moments away from those of the unnested rule.
     """
@@ -278,9 +295,7 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     e = w = logd = None
     amax, amin = 0.0, math.inf
     while True:
-        j = np.arange(n) if e is None else np.arange(1, n, 2)
-        theta = 2.0 * np.pi * j / n
-        e_new = np.exp(1j * theta)
+        e_new = _level_nodes(n)
         w_new = center + rho * e_new
         h, hp = _h_and_deriv_continuation(f, w_new)
         ah = np.abs(h)
@@ -301,8 +316,6 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
             logd = _interleave(logd, logd_new)
         g = logd * (rho * e)
         W = complex(np.mean(g))
-        M1 = complex(np.mean(w * g))
-        M2 = complex(np.mean(w * w * g))
         if settled_at is None:
             cand = round(W.real)
             if abs(W - cand) < _WINDING_TOL:
@@ -319,11 +332,13 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
                 )
             k, settled_at, prev, err = None, None, None, math.inf
         else:
+            M1 = complex(np.mean(w * g))
+            M2 = complex(np.mean(w * w * g))
             if prev is not None:
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
             if n >= settled_at * 4:
                 sums = ()
-                if 1 <= k <= _HANKEL_MAX:
+                if k >= 1:
                     sums, eg = [W], g
                     for _ in range(2 * k):
                         eg = eg * e
@@ -449,18 +464,19 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     """Count and isolate zeros of h in |w| < radius by winding numbers.
 
     The top-level contour certifies the total count and is then a cell like
-    any other.  A cell holding 1 to 8 zeros is read off its own contour: the
-    eigenvalues of the Hankel pencil of its scaled power sums, polished by
-    two Newton steps, are reported as simple zeros when they pass the checks
-    of _hankel_zeros.  A refused reading (a multiple or near-coincident zero,
-    say) falls to the spread test: a cell whose zero-centroid spread is below
-    the moment noise floor (or whose radius hits 1e-8) reports the centroid
-    with its count as multiplicity.  Any other cell is quadrisected with
-    covering disks, at most 60 levels deep.  Covering disks overlap, so
-    duplicate reports within 1e-7 are merged; the surviving multiplicities
-    must add up to the certified total.  The route evaluates h by kernel
-    summation only and solves no eigenproblem but its own k x k pencils; it
-    never touches the numerator or L.
+    any other.  A cell holding any number of zeros is read off its own
+    contour: the eigenvalues of the Hankel pencil of its scaled power sums,
+    polished by two Newton steps, are reported as simple zeros when they pass
+    the checks of _hankel_zeros.  A refused reading (a multiple or
+    near-coincident zero, say) falls to the spread test: a cell whose
+    zero-centroid spread is below the moment noise floor (or whose radius
+    hits 1e-8) reports the centroid with its count as multiplicity.  Only a
+    cell that both refuse is quadrisected with covering disks, at most 60
+    levels deep.  Covering disks overlap, so duplicate reports within 1e-7
+    are merged; the surviving multiplicities must add up to the certified
+    total.  The route evaluates h by kernel summation only and solves no
+    eigenproblem but its own k x k pencils; it never touches the numerator
+    or L.
     Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  The nudge ladder may move the top circle by up to 4e-4
