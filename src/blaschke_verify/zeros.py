@@ -251,12 +251,13 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     """Zero count, moments and scaled power sums over |w - center| = rho.
 
-    Returns (k, M1, M2, err, sums): M1 and M2 are the sums of the zeros
-    inside and of their squares, err the moment error estimate below, and
-    sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
+    Returns (k, M1, M2, err, sums, simple): M1 and M2 are the sums of the
+    zeros inside and of their squares, err the moment error estimate below,
+    and sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
     p = 0..2k when k >= 1, otherwise ().  They are the means of e^p g over
     the final rule, e = (w - center)/rho, so they cost one vector product
-    each and no kernel evaluation.
+    each and no kernel evaluation.  simple is the cell's zeros when a reading
+    one doubling after the settle (below) was accepted, otherwise None.
 
     The integrand is the logarithmic derivative of F = h prod_j (w - zeta_j),
     which has the zeros of h and no poles, so the winding counts zeros alone
@@ -265,18 +266,27 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     one pole nets winding zero and the zero is silently lost).  Contours
     passing within 2e-4 (relative) of an atom are rejected up front.
 
-    Trapezoid nodes double until the winding settles within 1e-3 of an
-    integer (NonIntegerWinding beyond 65536 nodes), then twice more so the
-    moments inherit the geometric tail; the change over the last doubling is
-    returned as a moment error estimate.  Raises _NearZeroContour when |h|
-    dips below 1e-12 of its maximum over the nodes seen so far or the
-    contour hugs a pole.
+    Trapezoid nodes double until the winding settles at n_s nodes, within
+    1e-3 of an integer (NonIntegerWinding beyond 65536 nodes); the moments
+    then take the geometric tail of the rule, and err is their change over
+    the last doubling.  When k >= 1 and that change from n_s to 2 n_s is at
+    most 1e-10 of the radius, the cell is read once at 2 n_s by
+    _hankel_zeros with that err, so its s_2k tolerance is the bare k * 1e-10
+    floor; an accepted reading ends the contour there.  Otherwise (no
+    reading, or a refused one) the contour ends at 4 n_s, and its moments,
+    err and sums are those of that level, for the caller to read.  The node
+    budget bounds the search for the settle, not the levels after it: a
+    winding that settles at the budget (a zero near the circle slows the
+    rule) still needs the doublings that converge its moments and measure
+    err, so the last level of a contour holds at most 4 * 65536 nodes.  Raises
+    _NearZeroContour when |h| dips below 1e-12 of its maximum over the nodes
+    seen so far or the contour hugs a pole.
 
     The rules nest: the nodes of one level are the even nodes of the next,
     so each doubling evaluates the kernel only at the new odd angles and
     reuses everything else; the nodes themselves come from _level_nodes, and
-    M1 and M2 are formed only at the levels after the winding has settled,
-    the only ones that read them.  The integrand g is nevertheless formed
+    M1 and M2 are formed only at the settle level and after it, the only
+    ones that read them.  The integrand g is nevertheless formed
     after interleaving, on the full-length arrays: numpy's complex multiply
     can round the same inputs differently depending on array length and
     alignment, and forming g on the odd subset alone would move the last
@@ -290,8 +300,6 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     n = _BASE_NODES
     k = None
     settled_at = None
-    prev = None
-    err = math.inf
     e = w = logd = None
     amax, amin = 0.0, math.inf
     while True:
@@ -330,21 +338,26 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
                 raise NonIntegerWinding(
                     f"winding drifted from {k} to {W!r} at {n} nodes"
                 )
-            k, settled_at, prev, err = None, None, None, math.inf
-        else:
+            k, settled_at = None, None
+        if settled_at is not None:
             M1 = complex(np.mean(w * g))
             M2 = complex(np.mean(w * w * g))
-            if prev is not None:
+            if n > settled_at:
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
-            if n >= settled_at * 4:
-                sums = ()
-                if k >= 1:
-                    sums, eg = [W], g
-                    for _ in range(2 * k):
-                        eg = eg * e
-                        sums.append(complex(np.mean(eg)))
-                    sums = tuple(sums)
-                return k, M1, M2, err, sums
+                early = n == settled_at * 2 and k >= 1 and err <= _POWER_SUM_FLOOR * rho
+                if early or n == settled_at * 4:
+                    sums = ()
+                    if k >= 1:
+                        sums, eg = [W], g
+                        for _ in range(2 * k):
+                            eg = eg * e
+                            sums.append(complex(np.mean(eg)))
+                        sums = tuple(sums)
+                    simple = None
+                    if early:
+                        simple = _hankel_zeros(f, center, rho, sums, err, _spread_floor(err))
+                    if simple is not None or not early:
+                        return k, M1, M2, err, sums, simple
             prev = (M1, M2)
         n *= 2
 
@@ -381,6 +394,12 @@ _MAX_DEPTH = 60
 _HANKEL_RCOND = 1e-8
 _NEWTON_TOL = 1e-8
 _POWER_SUM_FLOOR = 1e-10
+
+
+def _spread_floor(err: float) -> float:
+    """The moment noise floor of a cell: zeros closer than twice it, or a
+    centroid spread below it, are not told apart."""
+    return max(_SPREAD_FLOOR, 3.0 * math.sqrt(err))
 
 
 def _hankel_zeros(f, center, radius, sums, err, floor):
@@ -430,7 +449,7 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
 
 def _isolate(f, center, rho, depth, out):
     """Append the zeros in |w - center| < rho to out; return (nudged radius, count)."""
-    radius, k, M1, M2, err, sums = _contour_with_nudges(f, center, rho)
+    radius, k, M1, M2, err, sums, simple = _contour_with_nudges(f, center, rho)
     if k < 0:
         # the integrand is pole-free, so a settled negative count means the
         # quadrature itself went wrong
@@ -438,14 +457,14 @@ def _isolate(f, center, rho, depth, out):
         raise NonIntegerWinding(f"{cell} winding {k} is negative")
     if k == 0:
         return radius, k
+    floor = _spread_floor(err)
+    if simple is None:
+        simple = _hankel_zeros(f, center, radius, sums, err, floor)
+    if simple is not None:
+        out.extend((z, 1) for z in simple)
+        return radius, k
     centroid = M1 / k
     spread = math.sqrt(abs(M2 / k - centroid * centroid))
-    floor = max(_SPREAD_FLOOR, 3.0 * math.sqrt(err) if math.isfinite(err) else 0.0)
-    if sums:
-        simple = _hankel_zeros(f, center, radius, sums, err, floor)
-        if simple is not None:
-            out.extend((z, 1) for z in simple)
-            return radius, k
     sane = abs(centroid - center) <= radius * 1.05
     if (spread <= floor and sane) or radius <= _CELL_FLOOR:
         out.append((complex(centroid), k))
@@ -467,7 +486,11 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     any other.  A cell holding any number of zeros is read off its own
     contour: the eigenvalues of the Hankel pencil of its scaled power sums,
     polished by two Newton steps, are reported as simple zeros when they pass
-    the checks of _hankel_zeros.  A refused reading (a multiple or
+    the checks of _hankel_zeros.  A cell whose moments have converged to
+    1e-10 of its radius one doubling after its winding settles is read
+    there, and an accepted reading ends its contour; any other cell, or a
+    refused early reading, takes two doublings after the settle and is read
+    at the last.  A refused reading (a multiple or
     near-coincident zero, say) falls to the spread test: a cell whose
     zero-centroid spread is below the moment noise floor (or whose radius
     hits 1e-8) reports the centroid with its count as multiplicity.  Only a
