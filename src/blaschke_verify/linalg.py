@@ -33,7 +33,7 @@ DEFAULT_CLUSTER_TOL = 1e-6
 # Hermitian and PSD slack of psd_sqrt, relative to max(||H||, 1)
 PSD_TOL = 1e-10
 # support-function grid of NumericalRangeSupport
-NR_ANGLES = 128
+NR_ANGLES = 32
 # closing width of a distance bracket, relative to max(1, |lam|)
 NR_BRACKET_TOL = 1e-13
 # single-angle evaluations one distance may take before NoConvergence
@@ -263,6 +263,13 @@ class NumericalRangeSupport:
     A bracket is closed when hi - lo <= NR_BRACKET_TOL * max(1, |lam|); when
     the numerical radius r of A exceeds 16, the target is at least
     NR_BRACKET_TOL * r / 16, which keeps it above the rounding of s and p.
+    The grid only seeds the refinement; the certificate holds at any grid
+    size.  A closed bracket with f > 0 takes one more support value, at the
+    angle its next step would go to (the secant's root of f', or the chord's
+    normal at a kink) when that lies strictly inside the angle bracket and
+    the budget has a step left.  Every f is at most the distance, so this
+    only raises lo, from up to a closing width below the distance to about
+    its rounding.
     distance() returns the lower end, so it never exceeds the true distance
     (up to the rounding of s, about eps * r) and is within the closing width
     of it: a check that fails on these distances fails for the true ones,
@@ -386,12 +393,7 @@ class NumericalRangeSupport:
         else:
             x0, d0, b, pb = a, slope(a, pa), c, pc
         x1, d1, best, stalled = c, dc, c, False
-        while hi - lo > tol:
-            if steps == 0:
-                raise NoConvergence(
-                    f"distance bracket [{lo:.17g}, {hi:.17g}] at {lam} did not "
-                    f"close within {NR_MAX_STEPS} evaluations"
-                )
+        while True:
             t = a
             if stalled and pb != pa:
                 # at a kink the maximum is the normal angle of the edge that
@@ -400,6 +402,17 @@ class NumericalRangeSupport:
             elif not stalled and d1 != d0:
                 t = x1 - d1 * (x1 - x0) / (d1 - d0)
             guessed = a < t < b
+            if hi - lo <= tol:
+                # closed, but lo may sit a width below the maximum: f at the
+                # predicted maximiser can only raise it towards it
+                if guessed and steps:
+                    lo = max(lo, (lam * cmath.exp(-1j * t)).real - self._support_at(t)[0])
+                return lo, max(lo, hi)
+            if steps == 0:
+                raise NoConvergence(
+                    f"distance bracket [{lo:.17g}, {hi:.17g}] at {lam} did not "
+                    f"close within {NR_MAX_STEPS} evaluations"
+                )
             if not guessed:
                 t = (a + b) / 2
             s, ds, p = self._support_at(t)
@@ -418,7 +431,6 @@ class NumericalRangeSupport:
             stalled = guessed and not abs(d) <= abs(d1) / 2
             hi = min(hi, _segment_distance(lam, pa, pb))
             x0, d0, x1, d1 = x1, d1, t, d
-        return lo, max(lo, hi)
 
 
 def _merge_repeats(pts: np.ndarray, gap: float) -> np.ndarray:

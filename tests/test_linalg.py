@@ -339,7 +339,7 @@ def _ambiguous_on_grid(support, lam):
     (7, 29, 0.0),
 ])
 def test_ambiguous_grid_queries_are_settled(seed, index, want):
-    # each pair has one eigenvalue of L that the 128-angle grid cannot place:
+    # each pair has one eigenvalue of L that the 32-angle grid cannot place:
     # only refining the polygon next to it shows whether it is in W(A)
     A, L = random_lowrank_pair(spawn_rng(seed, index), max_dim=10)
     s = NumericalRangeSupport(A)
@@ -355,6 +355,72 @@ def test_ambiguous_grid_queries_are_settled(seed, index, want):
     else:
         # inside the refined polygon: a certified 0
         assert (lo, hi) == (0.0, 0.0)
+
+
+def _nr_distance_mp(A, lam, dps=40):
+    """max_theta f(theta) in dps-digit arithmetic on the double entries of A:
+    a secant on the Hellmann-Feynman slope f'(theta) = Im((lam - p) e^{-i theta}),
+    started at the argmax of f on a 4096-angle double grid."""
+    import mpmath
+
+    n = A.shape[0]
+    thetas = 2.0 * np.pi * np.arange(4096) / 4096
+    ph = np.exp(-1j * thetas)[:, None, None]
+    s = np.linalg.eigvalsh((ph * A + np.conj(ph) * A.conj().T) / 2)[:, -1]
+    with mpmath.workdps(dps):
+        Am = mpmath.matrix([[mpmath.mpc(complex(A[i, j])) for j in range(n)] for i in range(n)])
+        lm = mpmath.mpc(lam)
+
+        def f_and_slope(t):
+            e = mpmath.expj(-t)
+            E, Q = mpmath.eighe((e * Am + mpmath.conj(e) * Am.H) / 2)
+            v = Q[:, n - 1]
+            p = (v.H * Am * v)[0]
+            return (lm * e).real - E[n - 1], ((lm - p) * e).imag
+
+        t0 = mpmath.mpf(thetas[int(np.argmax((lam * ph[:, 0, 0]).real - s))])
+        t1 = t0 + mpmath.mpf("1e-4")
+        d0, (f1, d1) = f_and_slope(t0)[1], f_and_slope(t1)
+        while abs(t1 - t0) > mpmath.mpf(10) ** (5 - dps) and d1 != d0:
+            t0, d0, t1 = t1, d1, t1 - d1 * (t1 - t0) / (d1 - d0)
+            f1, d1 = f_and_slope(t1)
+        return f1
+
+
+def test_closed_bracket_takes_the_distance_to_rounding():
+    # a bracket may close a whole 1e-13 * |lam| width below the distance, as
+    # this one did at 2.0e-13 on a 128-angle grid with no last step; f at
+    # the predicted maximiser after closing takes lo to rounding
+    A, _ = random_lowrank_pair(spawn_rng(3, 97), max_dim=10)
+    lam = 4.1113644326572265 - 0.4559569954895602j
+    lo, hi = NumericalRangeSupport(A).bracket(lam)
+    ref = _nr_distance_mp(A, lam)
+    assert abs(lo - ref) <= 4 * np.finfo(float).eps * max(1.0, abs(lam))
+    assert hi - lo <= NR_BRACKET_TOL * max(1.0, abs(lam))
+
+
+@pytest.mark.parametrize("seed, index, origin_outside", [(4, 175, False), (1, 0, True)])
+def test_large_numerical_radius_closes_at_its_floor(seed, index, origin_outside):
+    # scaled by 1e3, the numerical radius r is far above 16, so each bracket
+    # closes to NR_BRACKET_TOL * max(r/16, |lam|), and the scaled bracket is
+    # 1e3 times the unscaled one up to the two widths
+    A, L = random_lowrank_pair(spawn_rng(seed, index), max_dim=10)
+    lams = [cl.center for cl in eigenvalues_clustered(L)] + [0j]
+    s, big = NumericalRangeSupport(A), NumericalRangeSupport(1e3 * A)
+    r = float(np.max(np.abs(big.support)))
+    assert r > 16
+    floor_sets = []
+    for lam in lams:
+        lo, hi = s.bracket(lam)
+        blo, bhi = big.bracket(1e3 * lam)
+        width = NR_BRACKET_TOL * max(r / 16, abs(1e3 * lam))
+        assert 0.0 <= bhi - blo <= width
+        both = width + 1e3 * NR_BRACKET_TOL * max(1.0, abs(lam))
+        assert abs(blo - 1e3 * lo) <= both
+        assert abs(bhi - 1e3 * hi) <= both
+        floor_sets.append(blo > 0 and r / 16 > abs(1e3 * lam))
+    # where the origin is outside W(A), r/16 sets the width of its bracket
+    assert any(floor_sets) == origin_outside
 
 
 def test_polynomial_roots_match_numpy():
