@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NonAtomicMeasure,
+    NonFiniteValue,
     NotNormalized,
     NumericalError,
     QuadratureNoConvergence,
@@ -374,10 +375,15 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     """
     ss = np.array([float(s) for s, _ in atoms])
     cc = np.array([complex(c) for _, c in atoms])
-    if cc.size == 0 or abs(np.sum(cc) - 1.0) > 1e-12:
-        raise NotNormalized(f"weights sum to {complex(np.sum(cc))!r}, need 1")
-    phi, psi = rank_one_factors(ss * cc)
-    L = np.diag(ss).astype(complex) - np.outer(phi, np.conj(psi))
+    # finite positions and weights may still overflow their sums and products
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cc.size == 0 or abs(np.sum(cc) - 1.0) > 1e-12:
+            raise NotNormalized(f"weights sum to {complex(np.sum(cc))!r}, need 1")
+        rhs = float(np.sum(np.abs(ss) * np.abs(cc)))
+        phi, psi = rank_one_factors(ss * cc)
+        L = np.diag(ss).astype(complex) - np.outer(phi, np.conj(psi))
+    if not (math.isfinite(rhs) and np.all(np.isfinite(L))):
+        raise NonFiniteValue(f"atoms: sum |s_j| |c_j| = {rhs!r}; it, s_j c_j and L must be finite")
     clusters = eigenvalues_clustered(L)
     lhs = 0.0
     counted = []
@@ -396,7 +402,7 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     return BoundReport(
         name="half-plane-zero-bound",
         lhs=lhs,
-        rhs=float(np.sum(np.abs(ss) * np.abs(cc))),
+        rhs=rhs,
         tol=tol,
         details={"upper_zeros": counted, "n_atoms": int(cc.size)},
     )

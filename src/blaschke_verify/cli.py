@@ -280,31 +280,31 @@ _SUITES = ("thm1", "thm2", "thm3", "schur", "dilation", "realline")
 
 
 def _suite_instance(which: str, args, index: int):
-    """One (reports, build) pair, deterministic in (seed, index): build()
+    """One (report, build) pair, deterministic in (seed, index): build()
     returns the instance payload, which only a failed instance needs."""
     rng = spawn_rng(args.seed, index)
     if which == "thm1":
         s = random_system(rng, max_dim=args.max_dim)
-        return [check_theorem1(s, tol=_tol(args, "blaschke"))], lambda: system_to_jsonable(s)
+        return check_theorem1(s, tol=_tol(args, "blaschke")), lambda: system_to_jsonable(s)
     if which == "thm2":
         mu = random_atomic_measure(rng, max_atoms=args.max_atoms)
-        return [check_theorem2(mu, tol=_tol(args, "blaschke"))], lambda: measure_to_jsonable(mu)
+        return check_theorem2(mu, tol=_tol(args, "blaschke")), lambda: measure_to_jsonable(mu)
     if which in ("thm3", "schur"):
         A, L = random_lowrank_pair(rng, max_dim=args.max_dim)
         if which == "thm3":
             rep = check_theorem3(A, L, tol=_tol(args, "blaschke"))
         else:
             rep = check_schur_chain(A, L, tol=_tol(args, "schur"))
-        return [rep], lambda: {"A": matrix_to_json(A), "L": matrix_to_json(L)}
+        return rep, lambda: {"A": matrix_to_json(A), "L": matrix_to_json(L)}
     if which == "dilation":
         s = random_system(rng, max_dim=min(5, args.max_dim))
         N = int(rng.integers(1, 11))
         rep = roundtrip_check(s, N, taylor_tol=_tol(args, "taylor"))
-        return [rep], lambda: {"system": system_to_jsonable(s), "order": N}
+        return rep, lambda: {"system": system_to_jsonable(s), "order": N}
     if which == "realline":
         atoms = random_real_line_atoms(rng, max_atoms=min(args.max_atoms, 6))
         rep = check_real_line_variant(atoms, tol=_tol(args, "realline"))
-        return [rep], lambda: line_atoms_to_jsonable(atoms)
+        return rep, lambda: line_atoms_to_jsonable(atoms)
     raise InputError(f"unknown suite {which!r}")
 
 
@@ -322,26 +322,24 @@ def _run_suite(suites, args):
     for index in range(args.instances):
         for which, out in zip(suites, runs):
             try:
-                reports, build = _suite_instance(which, args, index)
+                report, build = _suite_instance(which, args, index)
             except BlaschkeVerifyError as exc:
                 msg = str(exc)  # exc is unbound once the except block ends
                 build = lambda: {"error": msg}
-                reports = [
-                    BoundReport(
-                        name=f"{which}-instance-error",
-                        lhs=1.0,
-                        rhs=0.0,
-                        tol=0.0,
-                        details={"error": msg},
-                    )
-                ]
-            reports = [_with_detail(r, suite=which, instance=index) for r in reports]
-            failed = not all(r.passed for r in _expand(reports))
-            out.append((reports, build() if failed else None))
+                report = BoundReport(
+                    name=f"{which}-instance-error",
+                    lhs=1.0,
+                    rhs=0.0,
+                    tol=0.0,
+                    details={"error": msg},
+                )
+            report = _with_detail(report, suite=which, instance=index)
+            failed = not all(r.passed for r in _expand([report]))
+            out.append((report, build() if failed else None))
     reports = []
     for which, out in zip(suites, runs):
-        for index, (reps, inst) in enumerate(out):
-            reports.extend(reps)
+        for index, (report, inst) in enumerate(out):
+            reports.append(report)
             if inst is not None:
                 _dump_failure(
                     which, {"seed": args.seed, "index": index, "instance": inst}

@@ -69,7 +69,8 @@ class ContractionSystem:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
-        with np.errstate(over="ignore"):
+        # ||phi|| may overflow while ||psi|| underflows, and inf * 0 is nan
+        with np.errstate(over="ignore", invalid="ignore"):
             norms = self.norm_product()
         if not math.isfinite(norms):
             raise NonFiniteValue(f"||phi|| * ||psi|| is {norms!r}; it must be finite")

@@ -249,15 +249,15 @@ def _interleave(old: np.ndarray, new: np.ndarray) -> np.ndarray:
 
 
 def _contour_moments(f: CauchyFunction, center: complex, rho: float):
-    """Zero count, moments and scaled power sums over |w - center| = rho.
+    """Zero count, moments and the cell's reading over |w - center| = rho.
 
-    Returns (k, M1, M2, err, sums, simple): M1 and M2 are the sums of the
-    zeros inside and of their squares, err the moment error estimate below,
-    and sums the scaled power sums s_p = sum_i ((z_i - center)/rho)^p for
-    p = 0..2k when k >= 1, otherwise ().  They are the means of e^p g over
-    the final rule, e = (w - center)/rho, so they cost one vector product
-    each and no kernel evaluation.  simple is the cell's zeros when a reading
-    one doubling after the settle (below) was accepted, otherwise None.
+    Returns (k, M1, M2, err, zeros): M1 and M2 are the sums of the zeros
+    inside and of their squares, err the moment error estimate below, and
+    zeros the k simple zeros of the cell from its accepted reading, or None
+    when it was not read (k < 1) or every reading was refused.  A reading is
+    _hankel_zeros on the scaled power sums s_p = sum_i ((z_i - center)/rho)^p,
+    p = 0..2k: the means of e^p g over the current rule, e = (w - center)/rho,
+    so they cost one vector product each and no kernel evaluation.
 
     The integrand is the logarithmic derivative of F = h prod_j (w - zeta_j),
     which has the zeros of h and no poles, so the winding counts zeros alone
@@ -269,12 +269,12 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     Trapezoid nodes double until the winding settles at n_s nodes, within
     1e-3 of an integer (NonIntegerWinding beyond 65536 nodes); the moments
     then take the geometric tail of the rule, and err is their change over
-    the last doubling.  When k >= 1 and that change from n_s to 2 n_s is at
-    most 1e-10 of the radius, the cell is read once at 2 n_s by
-    _hankel_zeros with that err, so its s_2k tolerance is the bare k * 1e-10
-    floor; an accepted reading ends the contour there.  Otherwise (no
-    reading, or a refused one) the contour ends at 4 n_s, and its moments,
-    err and sums are those of that level, for the caller to read.  The node
+    the last doubling.  This is the one place a cell is read, and a contour
+    reads it at most twice: at 2 n_s when k >= 1 and the moments have
+    converged there (err from n_s to 2 n_s at most 1e-10 of the radius, so
+    the s_2k tolerance is the bare k * 1e-10 floor), and an accepted reading
+    ends the contour; otherwise, or when that reading is refused, at 4 n_s,
+    where the contour ends with the moments and err of that level.  The node
     budget bounds the search for the settle, not the levels after it: a
     winding that settles at the budget (a zero near the circle slows the
     rule) still needs the doublings that converge its moments and measure
@@ -344,20 +344,16 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
             M2 = complex(np.mean(w * w * g))
             if n > settled_at:
                 err = abs(M1 - prev[0]) + abs(M2 - prev[1])
-                early = n == settled_at * 2 and k >= 1 and err <= _POWER_SUM_FLOOR * rho
-                if early or n == settled_at * 4:
-                    sums = ()
-                    if k >= 1:
-                        sums, eg = [W], g
-                        for _ in range(2 * k):
-                            eg = eg * e
-                            sums.append(complex(np.mean(eg)))
-                        sums = tuple(sums)
-                    simple = None
-                    if early:
-                        simple = _hankel_zeros(f, center, rho, sums, err, _spread_floor(err))
-                    if simple is not None or not early:
-                        return k, M1, M2, err, sums, simple
+                late = n == settled_at * 4
+                zeros = None
+                if k >= 1 and (late or err <= _POWER_SUM_FLOOR * rho):
+                    sums, eg = [W], g
+                    for _ in range(2 * k):
+                        eg = eg * e
+                        sums.append(complex(np.mean(eg)))
+                    zeros = _hankel_zeros(f, center, rho, sums, err)
+                if zeros is not None or late:
+                    return k, M1, M2, err, zeros
             prev = (M1, M2)
         n *= 2
 
@@ -402,7 +398,7 @@ def _spread_floor(err: float) -> float:
     return max(_SPREAD_FLOOR, 3.0 * math.sqrt(err))
 
 
-def _hankel_zeros(f, center, radius, sums, err, floor):
+def _hankel_zeros(f, center, radius, sums, err):
     """The k simple zeros of a cell read off its scaled power sums, or None.
 
     sums[p] = s_p = sum_i ((z_i - center)/radius)^p for p = 0..2k.  The
@@ -413,9 +409,9 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
       * H0 is singular: s_min <= 1e-8 s_max, a multiple zero or two
         near-coincident ones;
       * a Newton step would be longer than the radius, h' = 0 included;
-      * a zero lies outside the cell, two lie within 2 * floor (the spread
-        test would merge them), or the last Newton step exceeds 1e-8 of the
-        radius;
+      * a zero lies outside the cell, two lie within twice the cell's
+        _spread_floor(err) (the spread test would merge them), or the last
+        Newton step exceeds 1e-8 of the radius;
       * sum_i z_i^(2k) misses s_2k, which the pencil does not use, by more
         than k * max(err / radius, 1e-10).
     """
@@ -439,7 +435,7 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
     tol = max(err / radius, _POWER_SUM_FLOOR) * k
     if (
         np.all(np.abs(zt) < 1.0)
-        and np.all(gaps > 2.0 * floor)
+        and np.all(gaps > 2.0 * _spread_floor(err))
         and np.all(np.abs(step) <= _NEWTON_TOL * radius)
         and abs(complex(np.sum(zt ** (2 * k))) - sums[2 * k]) <= tol
     ):
@@ -449,7 +445,7 @@ def _hankel_zeros(f, center, radius, sums, err, floor):
 
 def _isolate(f, center, rho, depth, out):
     """Append the zeros in |w - center| < rho to out; return (nudged radius, count)."""
-    radius, k, M1, M2, err, sums, simple = _contour_with_nudges(f, center, rho)
+    radius, k, M1, M2, err, zeros = _contour_with_nudges(f, center, rho)
     if k < 0:
         # the integrand is pole-free, so a settled negative count means the
         # quadrature itself went wrong
@@ -457,16 +453,13 @@ def _isolate(f, center, rho, depth, out):
         raise NonIntegerWinding(f"{cell} winding {k} is negative")
     if k == 0:
         return radius, k
-    floor = _spread_floor(err)
-    if simple is None:
-        simple = _hankel_zeros(f, center, radius, sums, err, floor)
-    if simple is not None:
-        out.extend((z, 1) for z in simple)
+    if zeros is not None:
+        out.extend((z, 1) for z in zeros)
         return radius, k
     centroid = M1 / k
     spread = math.sqrt(abs(M2 / k - centroid * centroid))
     sane = abs(centroid - center) <= radius * 1.05
-    if (spread <= floor and sane) or radius <= _CELL_FLOOR:
+    if (spread <= _spread_floor(err) and sane) or radius <= _CELL_FLOOR:
         out.append((complex(centroid), k))
         return radius, k
     if depth >= _MAX_DEPTH:
@@ -486,20 +479,19 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     any other.  A cell holding any number of zeros is read off its own
     contour: the eigenvalues of the Hankel pencil of its scaled power sums,
     polished by two Newton steps, are reported as simple zeros when they pass
-    the checks of _hankel_zeros.  A cell whose moments have converged to
-    1e-10 of its radius one doubling after its winding settles is read
-    there, and an accepted reading ends its contour; any other cell, or a
-    refused early reading, takes two doublings after the settle and is read
-    at the last.  A refused reading (a multiple or
-    near-coincident zero, say) falls to the spread test: a cell whose
-    zero-centroid spread is below the moment noise floor (or whose radius
-    hits 1e-8) reports the centroid with its count as multiplicity.  Only a
-    cell that both refuse is quadrisected with covering disks, at most 60
-    levels deep.  Covering disks overlap, so duplicate reports within 1e-7
-    are merged; the surviving multiplicities must add up to the certified
-    total.  The route evaluates h by kernel summation only and solves no
-    eigenproblem but its own k x k pencils; it never touches the numerator
-    or L.
+    the checks of _hankel_zeros.  The cell is read only where its contour
+    ends, in _contour_moments: one doubling after its winding settles when
+    its moments have converged there to 1e-10 of its radius and the reading
+    is accepted, and otherwise two doublings after the settle.  A refused
+    last reading (a multiple or near-coincident zero, say) falls to the
+    spread test: a cell whose zero-centroid spread is below the moment noise
+    floor (or whose radius hits 1e-8) reports the centroid with its count as
+    multiplicity.  Only a cell that both refuse is quadrisected with
+    covering disks, at most 60 levels deep.  Covering disks overlap, so
+    duplicate reports within 1e-7 are merged; the surviving multiplicities
+    must add up to the certified total.  The route evaluates h by kernel
+    summation only and solves no eigenproblem but its own k x k pencils; it
+    never touches the numerator or L.
     Search is capped below the boundary (CONTOUR_CAP = 0.999): the contour route
     degrades near the circle, so zeros on the rim are left to the other two
     routes.  The nudge ladder may move the top circle by up to 4e-4

@@ -280,6 +280,19 @@ _OVERFLOW = {
     "phi": [{"re": 1e300}],
     "psi": [{"re": 1e300}],
 }
+# ||phi|| overflows and ||psi|| underflows, so their product is inf * 0
+_INF_TIMES_ZERO = {
+    "A": [[{"re": 0.5}]],
+    "phi": [{"re": 1e308, "im": 1e308}],
+    "psi": [{"re": 1e-300}],
+}
+
+
+def _line(*atoms):
+    return {"atoms": [{"s": s, "c": {"re": c}} for s, c in atoms]}
+
+
+_LINE_MOMENTS = "atoms: sum |s_j| |c_j| = "
 
 
 @pytest.mark.parametrize(
@@ -296,6 +309,13 @@ _OVERFLOW = {
         ("real-line", {"atoms": [{"s": math.nan, "c": _LINE_C}]}, "atoms[0].s nan is not"),
         ("verify-system", _OVERFLOW, "||phi|| * ||psi|| is inf"),
         ("dilate", _OVERFLOW, "||phi|| * ||psi|| is inf"),
+        ("verify-system", _INF_TIMES_ZERO, "||phi|| * ||psi|| is nan"),
+        ("dilate", _INF_TIMES_ZERO, "||phi|| * ||psi|| is nan"),
+        # each s_j and c_j is finite, but s_j c_j and sum |s_j| |c_j| overflow
+        ("real-line", _line((1e308, 2.0), (-1e308, -1.0)), _LINE_MOMENTS + "inf"),
+        # sum |s_j| |c_j| is finite, but s_1 - s_1 c_1 in L overflows
+        ("real-line", _line((1e308, -1.0), (0.5, 2.0)), _LINE_MOMENTS + "1e+308"),
+        ("real-line", _line((1, 1.5e308), (0.5, 1e308), (0.5, -1.5e308)), "weights sum to (inf"),
     ],
 )
 def test_exit_two_on_malformed_file(capsys, tmp_path, command, obj, named):

@@ -261,7 +261,7 @@ def test_contour_nudges_past_boundary_zero():
     # must settle on a nearby clean radius instead of failing
     c = 1.0 / 0.999 - 1.0
     f = shifted(dirac(-1.0, c))
-    r, k, M1, M2, err, sums, simple = zeros_mod._contour_with_nudges(f, 0.0, 0.999)
+    r, k, M1, M2, err, zeros = zeros_mod._contour_with_nudges(f, 0.0, 0.999)
     assert r != 0.999
     assert abs(r / 0.999 - 1.0) <= 5e-4
     assert k in (0, 1)
@@ -307,11 +307,12 @@ def test_method_labels():
 # nested trapezoid rule against the unnested one
 
 
-def _reference_contour_moments(f, center, rho, early=True):
+def _reference_contour_moments(f, center, rho, early=True, log=None):
     """The unnested doubling loop: every level evaluates all n nodes afresh.
 
     With early=False it is the loop without the early end: the contour always
-    ends two doublings after the winding settles, with no reading.
+    ends two doublings after the winding settles, and is read only there.
+    Each reading appends (its level, the settle level, accepted) to log.
     """
     poles = f.source.points
     if poles.size:
@@ -355,24 +356,18 @@ def _reference_contour_moments(f, center, rho, early=True):
             k, settled_at, prev, err = None, None, None, math.inf
         else:
             err = abs(M1 - prev[0]) + abs(M2 - prev[1])
-            read = (
-                early and n == settled_at * 2 and k >= 1
-                and err <= zeros_mod._POWER_SUM_FLOOR * rho
-            )
-            if read or n >= settled_at * 4:
-                sums = ()
-                if k >= 1:
-                    sums, eg = [W], g
-                    for _ in range(2 * k):
-                        eg = eg * e
-                        sums.append(complex(np.mean(eg)))
-                    sums = tuple(sums)
-                simple = None
-                if read:
-                    floor = zeros_mod._spread_floor(err)
-                    simple = zeros_mod._hankel_zeros(f, center, rho, sums, err, floor)
-                if simple is not None or not read:
-                    return k, M1, M2, err, sums, simple
+            late = n >= settled_at * 4
+            zeros = None
+            if k >= 1 and (late or (early and err <= zeros_mod._POWER_SUM_FLOOR * rho)):
+                sums, eg = [W], g
+                for _ in range(2 * k):
+                    eg = eg * e
+                    sums.append(complex(np.mean(eg)))
+                zeros = zeros_mod._hankel_zeros(f, center, rho, sums, err)
+                if log is not None:
+                    log.append((n, settled_at, zeros is not None))
+            if zeros is not None or late:
+                return k, M1, M2, err, zeros
             prev = (M1, M2)
         n *= 2
 
@@ -405,11 +400,12 @@ def _contour_cases():
 
 
 def test_nested_contour_matches_unnested_bytes(monkeypatch):
-    # every contour the route visits, with its outcome and node count, is
-    # replayed through the unnested rule
+    # every contour the route visits, with its outcome, node count and
+    # readings, is replayed through the unnested rule
     visited = []
-    nodes = []
-    readings = []  # the outcomes of the early readings of the current contour
+    nodes = []  # the contour's own node counts, Newton points not included
+    readings = []  # (level, accepted) of each reading of the current contour
+    newton = []
     real = zeros_mod._contour_moments
     evaluate = zeros_mod._h_and_deriv_continuation
     read = zeros_mod._hankel_zeros
@@ -426,12 +422,18 @@ def test_nested_contour_matches_unnested_bytes(monkeypatch):
         return out
 
     def counting(f, w):
-        nodes.append(w.size)
+        if not newton:
+            nodes.append(w.size)
         return evaluate(f, w)
 
     def reading(*args):
-        out = read(*args)
-        readings.append(out is not None)
+        level = sum(nodes)  # the nested levels sum to the current one
+        newton.append(True)
+        try:
+            out = read(*args)
+        finally:
+            newton.pop()
+        readings.append((level, out is not None))
         return out
 
     monkeypatch.setattr(zeros_mod, "_contour_moments", spy)
@@ -441,22 +443,30 @@ def test_nested_contour_matches_unnested_bytes(monkeypatch):
         zeros_via_argument_principle(f)
     monkeypatch.undo()
 
-    raised = swallowed = nudged = summed = ended_early = refused = 0
-    for i, (f, center, rho, got, _, early) in enumerate(visited):
-        assert got == _outcome(_reference_contour_moments, f, center, rho), (
-            f.mode, center, rho,
-        )
+    raised = swallowed = nudged = summed = ended_early = refused = twice = 0
+    for i, (f, center, rho, got, _, reads) in enumerate(visited):
+        log = []
+        replay = _outcome(lambda *a: _reference_contour_moments(*a, log=log), f, center, rho)
+        assert got == replay, (f.mode, center, rho)
+        # the nested contour read its cell at the same levels, with the same outcomes
+        assert reads == [(n, ok) for n, _, ok in log]
         raised += not got.startswith("(")
-        summed += got.startswith("(") and not got.endswith(", (), None)")
+        summed += bool(reads)
         swallowed += bool(np.any(np.abs(f.source.points - center) < rho))
         # the nudge ladder retries the same center at another radius
         nudged += i > 0 and visited[i - 1][0] is f and visited[i - 1][1] == center
-        # a contour reads its cell early at most once; an accepted reading
-        # ends it, a refused one leaves it to end as the loop without the
-        # early end does, with the same bits
-        assert early in ([], [True], [False])
-        ended_early += early == [True]
-        if early == [False]:
+        # a contour reads its cell at most twice, at 2 n_s or 4 n_s: a second
+        # reading comes only at 4 n_s after a refused early one, and no
+        # reading follows an accepted one
+        rule = [(n // settled, ok) for n, settled, ok in log]
+        assert len(rule) <= 2 and all(m in (2, 4) for m, _ in rule)
+        if len(rule) == 2:
+            assert rule[0] == (2, False) and rule[1][0] == 4
+        ended_early += rule == [(2, True)]
+        twice += len(rule) == 2
+        if rule[:1] == [(2, False)]:
+            # a refused early reading leaves the contour to end as the loop
+            # without the early end does, with the same bits
             refused += 1
             today = _outcome(
                 lambda *a: _reference_contour_moments(*a, early=False), f, center, rho
@@ -465,7 +475,7 @@ def test_nested_contour_matches_unnested_bytes(monkeypatch):
     # the cases reach the regimes the nesting must not perturb
     assert max(v[4] for v in visited) >= 16384
     assert raised >= 1 and swallowed >= 1 and nudged >= 1 and summed >= 1
-    assert ended_early >= 1 and refused >= 1
+    assert ended_early >= 1 and refused >= 1 and twice >= 1
 
 
 def test_level_nodes_are_fresh_nodes_and_read_only():
@@ -646,27 +656,40 @@ def test_refused_top_circle_quadrisects(monkeypatch):
     assert ok, (worst, got.zeros)
 
 
-def _cell_moments(f, center, rho):
-    radius, k, _, _, err, sums, _ = zeros_mod._contour_with_nudges(f, center, rho)
-    return radius, k, err, sums
+def _cell_moments(f, center, rho, monkeypatch):
+    """radius, k, err and the scaled power sums of the cell's last reading."""
+    last = []
+    read = zeros_mod._hankel_zeros
+
+    def spy(f, center, radius, sums, err):
+        last[:] = [tuple(sums), err]
+        return read(f, center, radius, sums, err)
+
+    with monkeypatch.context() as m:
+        m.setattr(zeros_mod, "_hankel_zeros", spy)
+        radius, k, _, _, err, _ = zeros_mod._contour_with_nudges(f, center, rho)
+    assert last[1] == err
+    return radius, k, err, last[0]
 
 
-def test_reading_refuses_a_wrong_power_sum_or_close_zeros():
+def test_reading_refuses_a_wrong_power_sum_or_close_zeros(monkeypatch):
     f = direct_with_zeros(CELL_ZEROS[:3], [1, 1j, -1])
-    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6)
+    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6, monkeypatch)
     assert k == 3 and len(sums) == 7
     cell = (f, 0.1 + 0.3j, radius)
-    assert zeros_mod._hankel_zeros(*cell, sums, err, 1e-8) is not None
+    assert zeros_mod._hankel_zeros(*cell, sums, err) is not None
     # the pencil does not use s_2k, so moving it is seen by the check alone
     moved = sums[:-1] + (sums[-1] + 1e-6,)
-    assert zeros_mod._hankel_zeros(*cell, moved, err, 1e-8) is None
+    assert zeros_mod._hankel_zeros(*cell, moved, err) is None
     # zeros closer than twice the spread floor are left to quadrisection
-    assert zeros_mod._hankel_zeros(*cell, sums, err, 0.5) is None
+    wide = (0.5 / 3.0) ** 2
+    assert zeros_mod._spread_floor(wide) == pytest.approx(0.5)
+    assert zeros_mod._hankel_zeros(*cell, sums, wide) is None
 
 
 def test_newton_refuses_zero_derivative(monkeypatch):
     f = direct_with_zeros(CELL_ZEROS[:2], [1, -1])
-    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6)
+    radius, k, err, sums = _cell_moments(f, 0.1 + 0.3j, 0.6, monkeypatch)
     assert k == 2
 
     def flat(f, w):
@@ -675,7 +698,7 @@ def test_newton_refuses_zero_derivative(monkeypatch):
     monkeypatch.setattr(zeros_mod, "_h_and_deriv_continuation", flat)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert zeros_mod._hankel_zeros(f, 0.1 + 0.3j, radius, sums, err, 1e-8) is None
+        assert zeros_mod._hankel_zeros(f, 0.1 + 0.3j, radius, sums, err) is None
 
 
 def _spy_readings(monkeypatch):
@@ -685,9 +708,9 @@ def _spy_readings(monkeypatch):
     evaluate = zeros_mod._h_and_deriv_continuation
     newton = []
 
-    def spy(f, center, radius, sums, err, floor):
+    def spy(f, center, radius, sums, err):
         newton.clear()
-        out = real(f, center, radius, sums, err, floor)
+        out = real(f, center, radius, sums, err)
         readings.append((sums, out, len(newton)))
         return out
 
@@ -835,7 +858,7 @@ def test_single_zeros_are_newton_polished(mode, seed, index):
 @pytest.mark.xfail(
     strict=True,
     raises=NumericalError,
-    reason="ROADMAP item 4c: zeros 1e-5 apart end inconsistently in overlapping "
+    reason="ROADMAP item 4a: zeros 1e-5 apart end inconsistently in overlapping "
     "cells (multiplicities sum to 5, top contour counted 3)",
 )
 def test_zeros_1e5_apart_sum_to_the_top_count():
