@@ -161,9 +161,9 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
 
     Requires unit mass so that h(0) = 1.  Zeros come from the numerator-root
     oracle since the direct transform need not fit the operator model (its
-    Lebesgue part is allowed).  Also verifies that the shifted bound's right
-    side on shift_measure(mu) does not exceed this one (the shift does not
-    increase total variation).
+    Lebesgue part is allowed).  Also reports shifted_rhs, the shifted bound's
+    right side on shift_measure(mu); the shift keeps every atom modulus and
+    drops the Lebesgue part, so it does not exceed rhs beyond rounding.
     """
     if abs(mu.mass() - 1.0) > 1e-12:
         raise NotNormalized(f"mu(T) = {mu.mass()!r}, need 1")
@@ -171,10 +171,6 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     zs = zeros_via_numerator_roots(f)
     rhs = total_variation(mu)
     shifted_rhs = total_variation(shift_measure(mu))
-    if shifted_rhs > rhs + 1e-12:
-        raise NumericalError(
-            f"shift raised total variation: {shifted_rhs!r} > {rhs!r}"
-        )
     return _blaschke_report(
         "direct-transform-zero-bound", zs, rhs, tol, rhs_kind=_SURROGATE, shifted_rhs=shifted_rhs
     )

@@ -94,7 +94,7 @@ def schur_decompose(A) -> SchurForm:
         return SchurForm(Q=M.copy(), T=M.copy())
     try:
         T, Q = scipy.linalg.schur(M, output="complex")
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise NoConvergence(f"Schur iteration failed: {exc}") from exc
     return SchurForm(Q=Q, T=T)
 

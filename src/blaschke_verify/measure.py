@@ -54,7 +54,7 @@ class AtomicMeasure:
     than 1e-12 are merged by weight addition, weights that are exactly 0 are
     dropped, and atoms are sorted by (Re, Im) of the point so that equal
     measures compare equal.  Non-finite weights or Lebesgue coefficients are
-    rejected.
+    rejected, and so is a total variation that overflows.
     """
 
     atoms: tuple = ()
@@ -77,10 +77,12 @@ class AtomicMeasure:
             (UnitPoint(p), w) for p, w in zip(reps, weights) if w != 0
         ]
         pairs.sort(key=lambda pw: (pw[0].value.real, pw[0].value.imag))
+        lebesgue = finite(complex(self.lebesgue), "lebesgue coefficient")
+        # Python's abs of a complex this large raises OverflowError
+        with np.errstate(over="ignore"):
+            finite(float(np.sum(np.abs([w for _, w in pairs] + [lebesgue]))), "total variation")
         object.__setattr__(self, "atoms", tuple(pairs))
-        object.__setattr__(
-            self, "lebesgue", finite(complex(self.lebesgue), "lebesgue coefficient")
-        )
+        object.__setattr__(self, "lebesgue", lebesgue)
 
     @cached_property
     def points(self) -> np.ndarray:

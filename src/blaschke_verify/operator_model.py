@@ -18,7 +18,6 @@ import dataclasses
 import math
 
 import numpy as np
-import scipy.linalg
 
 from .codec import (
     json_object,
@@ -109,20 +108,24 @@ def rank_one_factors(weights) -> tuple[np.ndarray, np.ndarray]:
     return root.astype(complex), np.conj(phases) * root
 
 
+def _solve(B: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
+    """B^{-1} rhs by LU with partial pivoting (LAPACK gesv); what names B."""
+    try:
+        x = np.linalg.solve(B, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularResolvent(f"{what} singular: {exc}") from exc
+    if not np.all(np.isfinite(x.view(float))):
+        raise SingularResolvent(f"{what}: resolvent overflow")
+    return x
+
+
 def eval_h_resolvent(s: ContractionSystem, w: complex) -> complex:
     """h(w) = 1 + w <(I - wA)^{-1} phi, psi> by LU solve, |w| < 1."""
     w = complex(w)
     if abs(w) >= 1.0:
         raise OutsideDisk(f"|w| = {abs(w)!r} >= 1")
     B = np.eye(s.n, dtype=complex) - w * s.A
-    try:
-        lu, piv = scipy.linalg.lu_factor(B)
-        x = scipy.linalg.lu_solve((lu, piv), s.phi)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError, ValueError) as exc:
-        raise SingularResolvent(f"I - wA singular at w = {w!r}: {exc}") from exc
-    if not np.all(np.isfinite(x.view(float))):
-        raise SingularResolvent(f"resolvent overflow at w = {w!r}")
-    return complex(1.0 + w * np.vdot(s.psi, x))
+    return complex(1.0 + w * np.vdot(s.psi, _solve(B, s.phi, f"I - wA at w = {w!r}")))
 
 
 def build_L(s: ContractionSystem) -> np.ndarray:
@@ -146,14 +149,10 @@ def perturbation_determinant(
     if method not in ("rank1", "lu"):
         raise ValueError(f"unknown method {method!r}")
     B = lam * np.eye(s.n, dtype=complex) - s.A
-    try:
-        lu, piv = scipy.linalg.lu_factor(B)
-    except (scipy.linalg.LinAlgError, np.linalg.LinAlgError) as exc:
-        raise SingularResolvent(f"lam - A singular at lam = {lam!r}: {exc}") from exc
+    what = f"lam - A at lam = {lam!r}"
     if method == "rank1":
-        x = scipy.linalg.lu_solve((lu, piv), s.phi)
-        return complex(1.0 + np.vdot(s.psi, x))
-    R = scipy.linalg.lu_solve((lu, piv), np.eye(s.n, dtype=complex))
+        return complex(1.0 + np.vdot(s.psi, _solve(B, s.phi, what)))
+    R = _solve(B, np.eye(s.n, dtype=complex), what)
     full = np.eye(s.n, dtype=complex) + np.outer(s.phi, np.conj(s.psi)) @ R
     return complex(np.linalg.det(full))
 

@@ -168,10 +168,11 @@ def zeros_via_L(s: ContractionSystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) 
     radius cluster_tol*max(1, ||L||).
     """
     outside = eigenvalues_outside_disk(build_L(s), cluster_tol=cluster_tol)
-    return ZeroSet(
-        zeros=tuple((1.0 / cl.center, cl.multiplicity) for cl in outside),
-        method=METHOD_L,
-    )
+    zeros = tuple((1.0 / cl.center, cl.multiplicity) for cl in outside)
+    # h(0) = 1 for every system, so only underflow puts a zero at 0
+    if any(z == 0 for z, _ in zeros):
+        raise NumericalError("the reciprocal of an eigenvalue of L underflows to 0, where h(0) = 1")
+    return ZeroSet(zeros=zeros, method=METHOD_L)
 
 
 def zeros_via_numerator_roots(f: CauchyFunction) -> ZeroSet:

@@ -28,6 +28,17 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _fresh_interpreter(args, **env):
+    """Run python with args from the repository root, this package first on the path."""
+    src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env,
+        cwd=pathlib.Path(__file__).resolve().parents[1], timeout=120,
+    )
+
+
 def test_verify_measure_sharp(capsys, data_dir):
     code, out, err = run(capsys, ["verify-measure", str(data_dir / "sharp_measure.json")])
     assert code == 0
@@ -243,29 +254,73 @@ def test_exit_two_on_bad_point(capsys, tmp_path):
     assert "input error" in err
 
 
+def _atom(point: float, weight: float) -> dict:
+    return {"point": {"re": point}, "weight": {"re": weight}}
+
+
 @pytest.mark.parametrize(
-    "obj, named",
+    "obj, named, mode",
     [
-        ({"atoms": [{"point": {"re": math.nan}, "weight": {"re": 1.0}}]}, "point (nan"),
-        ({"atoms": [{"point": {"re": 1.0}, "weight": {"re": math.inf}}]}, "weight (inf"),
+        ({"atoms": [{"point": {"re": math.nan}, "weight": {"re": 1.0}}]}, "point (nan", "shifted"),
+        ({"atoms": [{"point": {"re": 1.0}, "weight": {"re": math.inf}}]}, "weight (inf", "shifted"),
         (
             {"atoms": [{"point": {"re": 1.0}, "weight": {"re": 1.0}}],
              "lebesgue": {"re": math.inf}},
             "lebesgue coefficient (inf",
+            "shifted",
         ),
+        # every weight finite, but sum |c_j| + |lebesgue| overflows
+        (
+            {"atoms": [_atom(1.0, 1e308), _atom(-1.0, -1e308)], "lebesgue": {"re": 1.0}},
+            "total variation inf",
+            "direct",
+        ),
+        ({"atoms": [_atom(1.0, 1e308), _atom(-1.0, 1e308)]}, "total variation inf", "direct"),
     ],
 )
-def test_exit_two_on_non_finite_measure(capsys, tmp_path, obj, named):
+def test_exit_two_on_non_finite_measure(capsys, tmp_path, obj, named, mode):
     p = tmp_path / "nonfinite.json"
     p.write_text(json.dumps(obj))  # writes NaN / Infinity, which json.load accepts
     # pytest captures warnings before they reach stderr, so record them here
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        code, _, err = run(capsys, ["verify-measure", str(p)])
+        code, _, err = run(capsys, ["verify-measure", str(p), "--mode", mode])
     assert code == 2
     assert "input error" in err and named in err
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
+def test_zero_at_origin_from_underflow_is_a_numerical_error(capsys, tmp_path):
+    # L = [1 - c] has an eigenvalue near -1e308 - 1e308i, whose reciprocal
+    # underflows to 0, where h(0) = 1 cannot vanish
+    p = tmp_path / "underflow.json"
+    p.write_text(json.dumps({"atoms": [{"point": {"re": 1.0}, "weight": {"re": 1e308, "im": 1e308}}]}))
+    code, _, err = run(capsys, ["verify-measure", str(p)])
+    assert code == 1
+    assert err.startswith("check failed: NumericalError:") and err.count("\n") == 1
+
+
+def test_direct_mode_passes_when_the_shift_rounds_total_variation_up(capsys, data_dir):
+    # weights of modulus 1e3 to 1e5: the shifted total variation sums the
+    # same moduli and comes out one ulp above the direct one
+    path = str(data_dir / "shift_rounding_measure.json")
+    code, out, err = run(capsys, ["verify-measure", path, "--mode", "direct"])
+    assert code == 0 and err == ""
+    (main_report,) = [r for r in json.loads(out)["reports"] if r["name"] == "direct-transform-zero-bound"]
+    assert main_report["details"]["shifted_rhs"] > main_report["rhs"]
+
+
+def test_verify_system_does_not_depend_on_blas_threads():
+    outs = []
+    for threads in ("1", "2"):
+        done = _fresh_interpreter(
+            ["-m", "blaschke_verify.cli", "verify-system", "tests/data/dilate_system.json"],
+            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+        )
+        assert done.returncode == 0, done.stderr
+        outs.append(done.stdout)
+    assert outs[0] == outs[1]
 
 
 def _system(**fields):
@@ -439,7 +494,6 @@ def test_failed_instance_dumped_to_stderr(capsys):
 
 def test_cli_runs_do_not_import_scipy_optimize():
     # a fresh interpreter: other tests import scipy.optimize as a reference
-    src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
     script = (
         "import contextlib, io, sys\n"
         "from blaschke_verify.cli import main\n"
@@ -448,12 +502,7 @@ def test_cli_runs_do_not_import_scipy_optimize():
         "             main(['random-suite', '--which', 'all', '--instances', '5'])]\n"
         "print(codes, 'scipy.optimize' in sys.modules)\n"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    done = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env=env,
-        cwd=pathlib.Path(__file__).resolve().parents[1], timeout=120,
-    )
+    done = _fresh_interpreter(["-c", script])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "[0, 0] False\n"
 

@@ -1,5 +1,11 @@
+import ast
+import pathlib
+import warnings
+
 import numpy as np
 import pytest
+
+import blaschke_verify
 
 from blaschke_verify.errors import (
     DimensionMismatch,
@@ -9,6 +15,7 @@ from blaschke_verify.errors import (
     NotAContraction,
     OutsideDisk,
     OutsideDomain,
+    SingularResolvent,
 )
 from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
 from blaschke_verify.operator_model import (
@@ -156,6 +163,44 @@ def test_perturbation_determinant_rejects_disk_points():
     for lam in (0.5 + 0j, 1.0 + 0j, np.exp(2j)):
         with pytest.raises(OutsideDomain):
             perturbation_determinant(s, lam)
+
+
+# an admissible contraction (||A|| within 1 + 1e-10) and its own eigenvalue,
+# outside the closed disk: lam - A and I - A/lam are exactly singular
+_SINGULAR_LAM = 1 + 5e-11
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: perturbation_determinant(s, _SINGULAR_LAM, "rank1"),
+        lambda s: perturbation_determinant(s, _SINGULAR_LAM, "lu"),
+        lambda s: eval_h_resolvent(s, 1 / _SINGULAR_LAM),
+    ],
+    ids=["rank1", "lu", "resolvent"],
+)
+def test_singular_resolvent_raises_without_warning(call):
+    s = ContractionSystem(A=[[_SINGULAR_LAM]], phi=[1.0], psi=[1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularResolvent):
+            call(s)
+
+
+def test_only_linalg_imports_scipy():
+    # the resolvents solve with numpy; the Schur form is scipy's one call site
+    importers = []
+    for path in sorted(pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n.split(".")[0] == "scipy" for n in names):
+                importers.append(path.name)
+    assert set(importers) == {"linalg.py"}
 
 
 def test_determinant_is_charpoly_ratio():
