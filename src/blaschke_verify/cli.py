@@ -84,14 +84,12 @@ _TOL_DEFAULTS = {
 }
 
 
-def _parse_tols(pairs) -> dict:
+def _parse_tols(pairs, names) -> dict:
     tols = {}
     for item in pairs or []:
         name, sep, val = item.partition("=")
-        if not sep or name not in _TOL_DEFAULTS:
-            raise InputError(
-                f"bad --tol {item!r}; use NAME=VALUE with NAME in {sorted(_TOL_DEFAULTS)}"
-            )
+        if not sep or name not in names:
+            raise InputError(f"bad --tol {item!r}; use NAME=VALUE with NAME in {sorted(names)}")
         try:
             tols[name] = float(val)
         except ValueError:
@@ -101,14 +99,20 @@ def _parse_tols(pairs) -> dict:
     return tols
 
 
+def _too_large(dim: int) -> bool:  # a dim x dim complex array, past numpy's size limit
+    return dim * dim * np.dtype(complex).itemsize > np.iinfo(np.intp).max
+
+
 def _check_counts(args):
-    """Suite sizes and the dilation order must be positive, seed and count not negative."""
+    """Sizes and order must be positive and fit numpy arrays; seed and count not negative."""
     lows = {"max_atoms": 1, "max_dim": 1, "order": 1, "seed": 0, "instances": 0}
     for name, low in lows.items():
         value = getattr(args, name, low)
+        flag = "--" + name.replace("_", "-")
         if value < low:
-            flag = "--" + name.replace("_", "-")
             raise InputError(f"{flag} must be >= {low}, got {value}")
+        if name.startswith("max_") and _too_large(value):
+            raise InputError(f"{flag} {value}: a {value}x{value} model is too large to allocate")
     pairs = args.command == "schur-chain" or getattr(args, "which", "") in ("thm3", "schur", "all")
     if pairs and args.max_dim < MIN_PAIR_DIM:
         raise InputError(
@@ -182,7 +186,7 @@ def _load_json(path):
             return json.load(fh)
         except json.JSONDecodeError:
             raise
-        except ValueError as exc:  # not UTF-8, or an integer over the digit limit
+        except (ValueError, RecursionError) as exc:  # not UTF-8, too many digits or too deep
             raise InputError(f"{path}: {exc}") from None
 
 
@@ -355,7 +359,7 @@ def cmd_random_suite(args) -> int:
 def cmd_dilate(args) -> int:
     s = system_from_jsonable(_load_json(args.path))
     dim = (args.order + 1) * s.n
-    if dim * dim * np.dtype(complex).itemsize > np.iinfo(np.intp).max:  # numpy's array limit
+    if _too_large(dim):
         raise InputError(f"--order {args.order}: a {dim}x{dim} dilation is too large to allocate")
     d = dilate(s.A, args.order)
     moment_errs = []
@@ -401,61 +405,56 @@ def cmd_real_line(args) -> int:
 # parser
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=42, help="suite RNG seed")
-    common.add_argument("--instances", type=int, default=100, help="suite size")
-    common.add_argument("--max-atoms", type=int, default=8, dest="max_atoms")
-    common.add_argument("--max-dim", type=int, default=10, dest="max_dim")
-    common.add_argument(
-        "--tol",
-        action="append",
-        metavar="NAME=VAL",
-        help=f"tolerance override; names: {', '.join(sorted(_TOL_DEFAULTS))}",
-    )
-    common.add_argument("--json-out", dest="json_out", help="also write payload here")
-    common.add_argument("--csv-out", dest="csv_out", help="flat CSV of all reports")
+# add_argument keywords of every flag but --tol
+_FLAGS = {
+    "path": {},
+    "--mode": {"choices": ("direct", "shifted"), "default": "shifted"},
+    "--which": {"choices": _SUITES + ("all",), "default": "all"},
+    "--order": {"type": int, "default": 6},
+    "--seed": {"type": int, "default": 42, "help": "suite RNG seed"},
+    "--instances": {"type": int, "default": 100, "help": "suite size"},
+    "--max-atoms": {"type": int, "default": 8},
+    "--max-dim": {"type": int, "default": 10},
+    "--json-out": {"help": "also write payload here"},
+    "--csv-out": {"help": "flat CSV of all reports"},
+}
 
+# name: handler, help, and the only --tol names and flags the subcommand takes
+_COMMANDS = {
+    "verify-measure": (cmd_verify_measure, "check a measure file", "blaschke pairing",
+                       "path --mode"),
+    "verify-system": (cmd_verify_system, "check a system file", "blaschke determinant", "path"),
+    "random-suite": (cmd_random_suite, "seeded random suites", "blaschke realline schur taylor",
+                     "--which --seed --instances --max-atoms --max-dim"),
+    "dilate": (cmd_dilate, "dilation round trip on a system", "taylor", "path --order"),
+    "jensen": (cmd_jensen, "boundary-integral chains", "jensen", "--seed --instances"),
+    "schur-chain": (cmd_schur_chain, "Schur-basis chain suite", "schur",
+                    "--seed --instances --max-dim"),
+    "real-line": (cmd_real_line, "half-plane variant", "realline", "--seed --instances --max-atoms"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="blaschke-verify",
         description="numerical checks for disk zero bounds of Cauchy transforms",
     )
     sub = p.add_subparsers(dest="command", required=True)
-
-    vm = sub.add_parser("verify-measure", parents=[common], help="check a measure file")
-    vm.add_argument("path")
-    vm.add_argument("--mode", choices=("direct", "shifted"), default="shifted")
-    vm.set_defaults(func=cmd_verify_measure)
-
-    vs = sub.add_parser("verify-system", parents=[common], help="check a system file")
-    vs.add_argument("path")
-    vs.set_defaults(func=cmd_verify_system)
-
-    rs = sub.add_parser("random-suite", parents=[common], help="seeded random suites")
-    rs.add_argument("--which", choices=_SUITES + ("all",), default="all")
-    rs.set_defaults(func=cmd_random_suite)
-
-    dl = sub.add_parser("dilate", parents=[common], help="dilation round trip on a system")
-    dl.add_argument("path")
-    dl.add_argument("--order", type=int, default=6)
-    dl.set_defaults(func=cmd_dilate)
-
-    je = sub.add_parser("jensen", parents=[common], help="boundary-integral chains")
-    je.set_defaults(func=cmd_jensen)
-
-    sc = sub.add_parser("schur-chain", parents=[common], help="Schur-basis chain suite")
-    sc.set_defaults(func=cmd_schur_chain)
-
-    rl = sub.add_parser("real-line", parents=[common], help="half-plane variant")
-    rl.add_argument("path", nargs="?")
-    rl.set_defaults(func=cmd_real_line)
+    for name, (func, about, tols, flags) in _COMMANDS.items():
+        c = sub.add_parser(name, help=about)
+        for flag in flags.split() + ["--json-out", "--csv-out"]:
+            c.add_argument(flag, **_FLAGS[flag])
+        c.add_argument("--tol", action="append", metavar="NAME=VAL",
+                       help=f"tolerance override; names: {', '.join(tols.split())}")
+        c.set_defaults(func=func, tol_names=tols.split())
+    sub.choices["real-line"].add_argument("path", nargs="?")  # the suite runs without one
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.tols = _parse_tols(args.tol)
+        args.tols = _parse_tols(args.tol, args.tol_names)
         _check_counts(args)
         return args.func(args)
     except InputError as exc:

@@ -104,7 +104,10 @@ def rank_one_factors(weights) -> tuple[np.ndarray, np.ndarray]:
     c = np.asarray(weights, dtype=complex)
     moduli = np.abs(c)
     root = np.sqrt(moduli)
-    phases = c / np.where(moduli > 0, moduli, 1.0)
+    # numpy's complex division overflows on a subnormal divisor, so a subnormal
+    # c and |c| are first scaled by 2**54, exactly; normal moduli keep their bits
+    lift = np.where(moduli < np.finfo(float).tiny, 2.0**54, 1.0)
+    phases = (c * lift) / np.where(moduli > 0, moduli * lift, 1.0)
     return root.astype(complex), np.conj(phases) * root
 
 

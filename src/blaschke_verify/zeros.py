@@ -281,7 +281,8 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     rule) still needs the doublings that converge its moments and measure
     err, so the last level of a contour holds at most 4 * 65536 nodes.  Raises
     _NearZeroContour when |h| dips below 1e-12 of its maximum over the nodes
-    seen so far or the contour hugs a pole.
+    seen so far or the contour hugs a pole, and NumericalError when that
+    maximum or the winding mean is not finite: h or h' overflowed.
 
     The rules nest: the nodes of one level are the even nodes of the next,
     so each doubling evaluates the kernel only at the new odd angles and
@@ -308,7 +309,9 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
         w_new = center + rho * e_new
         h, hp = _h_and_deriv_continuation(f, w_new)
         ah = np.abs(h)
-        amax = max(amax, float(np.max(ah)))
+        amax = max(float(np.max(ah)), amax)  # first, so that a NaN carries
+        if not math.isfinite(amax):
+            raise NumericalError(f"|h| is not finite on |w - {center!r}| = {rho!r}")
         amin = min(amin, float(np.min(ah)))
         if amax == 0.0 or amin <= _GUARD_REL * amax:
             raise _NearZeroContour
@@ -325,6 +328,8 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
             logd = _interleave(logd, logd_new)
         g = logd * (rho * e)
         W = complex(np.mean(g))
+        if not cmath.isfinite(W):
+            raise NumericalError(f"the winding of h'/h is not finite on |w - {center!r}| = {rho!r}")
         if settled_at is None:
             cand = round(W.real)
             if abs(W - cand) < _WINDING_TOL:
@@ -504,7 +509,10 @@ def zeros_via_argument_principle(f: CauchyFunction, radius: float = CONTOUR_CAP)
     if not 0.0 < radius <= CONTOUR_CAP:
         raise ValueError(f"radius must lie in (0, {CONTOUR_CAP}]")
     raw: list = []
-    cap, k_top = _isolate(f, 0.0, radius, 0, raw)
+    # an h or h' that overflows raises NumericalError where it is read, not a
+    # RuntimeWarning at each operation it passes through
+    with np.errstate(all="ignore"):
+        cap, k_top = _isolate(f, 0.0, radius, 0, raw)
     # dedupe overlap duplicates; the same zero keeps its full multiplicity in
     # every covering cell, so groups take the max, not the sum
     groups: list[list] = []

@@ -573,3 +573,100 @@ def test_dilation_suite_draws_its_system_by_random_system():
             assert np.array_equal(s.A, A) and np.array_equal(s.phi, phi)
             assert np.array_equal(s.psi, psi)
             assert a.integers(1, 11) == b.integers(1, 11)
+
+
+_LINE_FIXTURE = str(DATA / "real_line_fixture.json")
+_SYSTEM = str(DATA / "dilate_system.json")
+# subcommand: (argv of a passing run, the suite flags and --tol names it reads)
+_READS = {
+    "verify-measure": ([SHARP], "", "blaschke pairing"),
+    "verify-system": ([_SYSTEM], "", "blaschke determinant"),
+    "random-suite": (["--instances", "1"], "--seed --instances --max-atoms --max-dim",
+                     "blaschke realline schur taylor"),
+    "dilate": ([_SYSTEM, "--order", "2"], "", "taylor"),
+    "jensen": (["--instances", "1"], "--seed --instances", "jensen"),
+    "schur-chain": (["--instances", "1"], "--seed --instances --max-dim", "schur"),
+    "real-line": ([_LINE_FIXTURE], "--seed --instances --max-atoms", "realline"),
+}
+
+
+@pytest.mark.parametrize("command", list(_READS))
+def test_subcommand_takes_only_the_flags_and_tols_it_reads(capsys, command):
+    base, flags, tols = _READS[command]
+    argv = [command, *base]
+    assert run(capsys, argv)[0] == 0
+    for flag in {"--seed", "--instances", "--max-atoms", "--max-dim"} - set(flags.split()):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+    names = {"blaschke", "determinant", "jensen", "pairing", "realline", "schur", "taylor"}
+    for name in names - set(tols.split()):
+        code, out, err = run(capsys, argv + ["--tol", f"{name}=1e-6"])
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: bad --tol '{name}=1e-6'")
+        assert str(sorted(tols.split())) in err
+    # every name it takes is read: no report's slack reaches 1e9
+    for name in tols.split():
+        assert run(capsys, argv + ["--tol", f"{name}=-1e9"])[0] == 1, name
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["random-suite", "--which", "thm1", "--max-dim", str(10**20)], "--max-dim"),
+        (["random-suite", "--which", "thm2", "--max-atoms", str(10**20)], "--max-atoms"),
+        # fits int64, but not a numpy array of 10^11 x 10^11
+        (["random-suite", "--which", "thm1", "--max-dim", str(10**11)], "--max-dim"),
+        (["schur-chain", "--max-dim", str(10**20)], "--max-dim"),
+    ],
+    ids=["thm1-1e20", "thm2-1e20", "thm1-1e11", "schur-chain-1e20"],
+)
+def test_exit_two_on_a_size_past_numpy_arrays(capsys, argv, flag):
+    code, out, err = run(capsys, argv + ["--instances", "1"])
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {flag} {argv[-1]}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["verify-measure", "verify-system", "dilate", "real-line"])
+def test_exit_two_on_deeply_nested_json(capsys, tmp_path, command):
+    p = tmp_path / "deep.json"
+    p.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, [command, str(p)])
+    assert code == 2 and out == ""
+    assert err.startswith(f"input error: {p}: ") and "recursion" in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-measure", str(DATA / "subnormal_weight_measure.json"), "--mode", "shifted"],
+        ["verify-measure", str(DATA / "subnormal_weight_measure.json"), "--mode", "direct"],
+        ["real-line", str(DATA / "subnormal_line_atoms.json")],
+    ],
+    ids=["shifted", "direct", "real-line"],
+)
+def test_subnormal_weight_passes(capsys, argv):
+    # a weight of 5e-324, or s_j c_j = 1e-310: |c_j| is subnormal, where
+    # numpy's complex division c_j / |c_j| overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    assert not caught
+    assert json.loads(out)["summary"]["failed"] == 0
+
+
+@pytest.mark.parametrize(
+    "name", ["overflow_derivative_measure", "overflow_measure"], ids=["h-prime", "h"]
+)
+def test_contour_overflow_is_a_numerical_error(capsys, name):
+    # ten atoms of weight 1e303 (h' overflows on the top circle, h does not)
+    # or 1e307 (h overflows too) at the tenth roots of unity
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["verify-measure", str(DATA / f"{name}.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: NumericalError: ") and err.count("\n") == 1
+    assert not caught

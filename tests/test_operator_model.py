@@ -56,6 +56,20 @@ def test_rank_one_factors():
         build_system_from_measure(AtomicMeasure(atoms=mu.atoms, lebesgue=1.0 + 0j))
 
 
+def test_rank_one_factors_of_subnormal_weights():
+    # numpy's complex division overflows on a subnormal |c|; the factors must
+    # still be finite, with phi conj(psi) = c and |psi| = |phi|
+    c = np.array([5e-324, -5e-324j, 3e-310 + 4e-310j, 1e-300j])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        phi, psi = rank_one_factors(c)
+    assert np.all(np.isfinite(phi)) and np.all(np.isfinite(psi))
+    assert np.allclose(phi * np.conj(psi), c, rtol=1e-15, atol=0)
+    assert np.allclose(np.abs(psi), np.abs(phi), rtol=1e-15, atol=0)
+    # a normal weight's phase is c / |c| as before, to the bit
+    assert psi[3] == np.conj(c[3] / abs(c[3])) * phi[3]
+
+
 def random_system(rng, n):
     G = rand_complex(rng, (n, n))
     A = G * (0.95 * (1 - rng.random() * 0.5) / np.linalg.norm(G, 2))
