@@ -25,7 +25,6 @@ from .errors import (
 from .linalg import NumericalRangeSupport, eigenvalues_clustered
 from .measure import (
     AtomicMeasure,
-    UnitPoint,
     dirac,
     inverse_shift,
     measure_from_jsonable,
@@ -66,7 +65,6 @@ __all__ = [
     "InputError",
     "NumericalError",
     "NumericalRangeSupport",
-    "UnitPoint",
     "ZeroSet",
     "blaschke_sum",
     "build_L",

@@ -49,21 +49,6 @@ REAL_LINE_TOL = 1e-8
 _SURROGATE = "total variation surrogate"
 
 
-def _plain(obj):
-    """Recursively strip numpy scalar types so payloads serialize as JSON."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    return obj
-
-
 @dataclasses.dataclass(frozen=True)
 class BoundReport:
     """One checked inequality lhs <= rhs; slack = rhs - lhs, pass iff slack >= -tol."""
@@ -95,7 +80,7 @@ class BoundReport:
             "slack": self.slack,
             "tol": self.tol,
             "pass": self.passed,
-            "details": _plain(self.details),
+            "details": self.details,
         }
 
 

@@ -155,17 +155,12 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
     raw_w = np.conj(bcoef) * a  # per-eigenvector <P phi', psi'>, pooled below
     clusters = cluster_points(lams, radius=EIGEN_CLUSTER_TOL)
     scale = float(np.linalg.norm(phi) * np.linalg.norm(psi))
-    atoms = [[cl.center, 0.0 + 0.0j] for cl in clusters]
     centers = np.array([c.center for c in clusters])
     nearest = np.argmin(np.abs(lams[:, None] - centers[None, :]), axis=1)
-    for i, k in enumerate(nearest):
-        atoms[k][1] += raw_w[i]
-    kept = [
-        (complex(c) / abs(complex(c)), complex(w))
-        for c, w in atoms
-        if abs(w) > WEIGHT_DROP_REL * max(1.0, scale)
-    ]
-    measure = AtomicMeasure(atoms=kept)
+    pooled = np.zeros(len(clusters), dtype=complex)
+    np.add.at(pooled, nearest, raw_w)
+    kept = np.hypot(pooled.real, pooled.imag) > WEIGHT_DROP_REL * max(1.0, scale)
+    measure = AtomicMeasure([c / abs(c) for c in centers[kept].tolist()], pooled[kept])
     total = measure.mass()
     inner = complex(np.vdot(epsi, ephi))
     if abs(total - inner) > 1e-10 * max(1.0, abs(inner)) + 1e-10:

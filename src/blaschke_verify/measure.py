@@ -11,12 +11,11 @@ all we track for it; general absolutely continuous parts are out of scope.
 from __future__ import annotations
 
 import dataclasses
-from functools import cached_property
 
 import numpy as np
 
 from .codec import atom_entries, complex_from_json, complex_to_json, finite, real_from_json
-from .errors import PointNotOnCircle
+from .errors import DimensionMismatch, PointNotOnCircle
 
 # points nearer the circle than this are snapped onto it, further are rejected
 POINT_REPAIR_BAND = 1e-9
@@ -24,94 +23,126 @@ POINT_REPAIR_BAND = 1e-9
 ATOM_MERGE_TOL = 1e-12
 
 
-@dataclasses.dataclass(frozen=True)
-class UnitPoint:
-    """A point on the unit circle.
-
-    Inputs with | |value| - 1 | <= 1e-9 are renormalized onto the circle,
-    anything further off or not finite is rejected; after construction the
-    modulus is 1 to within 1e-12 (in practice to machine precision).
-    """
-
-    value: complex
-
-    def __post_init__(self):
-        v = finite(complex(self.value), "point")
-        r = abs(v)
-        if abs(r - 1.0) > POINT_REPAIR_BAND:
-            raise PointNotOnCircle(f"|{v!r}| = {r!r} is not within 1e-9 of 1")
-        object.__setattr__(self, "value", v / r)
-
-    def conj(self) -> "UnitPoint":
-        return UnitPoint(self.value.conjugate())
+def _unit(z: np.ndarray) -> np.ndarray:
+    """z / |z| elementwise, rounded as Python divides a complex by a float:
+    (re + im*0.0) / r and (im - re*0.0) / r with r = hypot(re, im).  Plain
+    re / r would keep the -0.0 of -0.0+1j, where Python gives +0.0."""
+    re, im = z.real, z.imag
+    r = np.hypot(re, im)
+    out = np.empty(z.shape, dtype=complex)
+    out.real = (re + im * 0.0) / r
+    out.imag = (im - re * 0.0) / r
+    return out
 
 
-@dataclasses.dataclass(frozen=True)
+def _product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a * b elementwise, rounded as Python multiplies two complex numbers:
+    each real product and sum on its own (numpy's complex multiply may fuse
+    or reorder them, and then rounds differently)."""
+    out = np.empty(a.shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class AtomicMeasure:
-    """Atoms (point, complex weight) plus lebesgue * m, m normalized Lebesgue.
+    """sum_j weights[j] delta(points[j]) + lebesgue * m, m normalized Lebesgue.
 
-    Construction canonicalizes: points are snapped to the circle, atoms closer
-    than 1e-12 are merged by weight addition, weights that are exactly 0 are
-    dropped, and atoms are sorted by (Re, Im) of the point so that equal
-    measures compare equal.  Non-finite weights or Lebesgue coefficients are
-    rejected, and so is a total variation that overflows.
+    The one constructor takes point and weight sequences of one length and
+    canonicalizes them, so that equal measures compare equal.  Points,
+    weights and the Lebesgue coefficient must be finite, and a point further
+    than 1e-9 from the circle raises PointNotOnCircle naming its atom.  Each
+    point is snapped onto the circle by z / hypot(Re z, Im z), rounded as
+    Python divides a complex by a float, twice: before the merge and after.
+    In input order, each atom joins the first earlier representative within
+    1e-12 (ATOM_MERGE_TOL) or becomes one; a representative pools its atoms'
+    weights in input order, weights that are exactly 0 are dropped, and the
+    atoms are sorted by (Re, Im).  points and weights are read-only arrays,
+    and a total variation that overflows is rejected.  Measures compare by
+    value.  A point is any complex number: there is no class of circle points.
     """
 
-    atoms: tuple = ()
+    points: np.ndarray = ()
+    weights: np.ndarray = ()
     lebesgue: complex = 0.0
 
     def __post_init__(self):
-        reps: list[complex] = []
-        weights: list[complex] = []
-        for point, weight in self.atoms:
-            p = point.value if isinstance(point, UnitPoint) else UnitPoint(point).value
-            w = finite(complex(weight), "weight")
-            for k, rep in enumerate(reps):
-                if abs(p - rep) <= ATOM_MERGE_TOL:
-                    weights[k] += w
+        pts = np.array(self.points, dtype=complex)
+        wts = np.array(self.weights, dtype=complex)
+        if pts.ndim != 1 or pts.shape != wts.shape:
+            raise DimensionMismatch(f"{pts.shape} points, {wts.shape} weights: not one flat length")
+        for what, arr in (("point", pts), ("weight", wts)):
+            bad = np.flatnonzero(~np.isfinite(arr))
+            if bad.size:
+                finite(complex(arr[bad[0]]), f"atoms[{bad[0]}].{what}")
+        lebesgue = finite(complex(self.lebesgue), "lebesgue coefficient")
+        with np.errstate(over="ignore"):  # an overflowing modulus is off the circle
+            r = np.hypot(pts.real, pts.imag)
+        off = np.flatnonzero(np.abs(r - 1.0) > POINT_REPAIR_BAND)
+        if off.size:
+            i = off[0]
+            raise PointNotOnCircle(
+                f"atoms[{i}].point |{complex(pts[i])!r}| = {float(r[i])!r} is not within 1e-9 of 1"
+            )
+        once = _unit(pts)
+        # only an atom whose real part lies within 2 * ATOM_MERGE_TOL of
+        # another's (twice, to cover rounding) can merge, so only those enter
+        # the greedy loop
+        head = np.arange(once.size)  # each atom's representative
+        order = np.argsort(once.real)
+        re = once.real[order]
+        lo = np.searchsorted(re, re - 2 * ATOM_MERGE_TOL, side="left")
+        hi = np.searchsorted(re, re + 2 * ATOM_MERGE_TOL, side="right")
+        crowded = np.sort(order[hi - lo > 1])
+        reps: list = []
+        for i, p in zip(crowded.tolist(), once[crowded].tolist()):
+            for k, q in reps:
+                if abs(p - q) <= ATOM_MERGE_TOL:
+                    head[i] = k
                     break
             else:
-                reps.append(p)
-                weights.append(w)
-        pairs = [
-            (UnitPoint(p), w) for p, w in zip(reps, weights) if w != 0
-        ]
-        pairs.sort(key=lambda pw: (pw[0].value.real, pw[0].value.imag))
-        lebesgue = finite(complex(self.lebesgue), "lebesgue coefficient")
+                reps.append((i, p))
+        alone = head == np.arange(once.size)
+        np.add.at(wts, head[~alone], wts[~alone])
+        keep = wts[alone] != 0
+        pts = _unit(once[alone][keep])
+        order = np.lexsort((pts.imag, pts.real))
+        pts, wts = pts[order], wts[alone][keep][order]
         # Python's abs of a complex this large raises OverflowError
         with np.errstate(over="ignore"):
-            finite(float(np.sum(np.abs([w for _, w in pairs] + [lebesgue]))), "total variation")
-        object.__setattr__(self, "atoms", tuple(pairs))
+            finite(float(np.sum(np.abs(np.append(wts, lebesgue)))), "total variation")
+        pts.flags.writeable = wts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
+        object.__setattr__(self, "weights", wts)
         object.__setattr__(self, "lebesgue", lebesgue)
 
-    @cached_property
-    def points(self) -> np.ndarray:
-        """Atom locations as a complex array (empty for the zero measure)."""
-        return np.array([p.value for p, _ in self.atoms], dtype=complex)
-
-    @cached_property
-    def weights(self) -> np.ndarray:
-        return np.array([w for _, w in self.atoms], dtype=complex)
+    def __eq__(self, other):
+        if not isinstance(other, AtomicMeasure):
+            return NotImplemented
+        return (
+            np.array_equal(self.points, other.points)
+            and np.array_equal(self.weights, other.weights)
+            and self.lebesgue == other.lebesgue
+        )
 
     @property
     def natoms(self) -> int:
-        return len(self.atoms)
+        return self.points.size
 
     def mass(self) -> complex:
         """mu(T) = sum of weights + lebesgue coefficient."""
-        return complex(np.sum(self.weights) + self.lebesgue) if self.atoms else complex(self.lebesgue)
+        total = np.sum(self.weights) + self.lebesgue if self.natoms else self.lebesgue
+        return complex(total)
 
     def conjugate(self) -> "AtomicMeasure":
         """The measure with conjugated weights at conjugated atoms."""
-        return AtomicMeasure(
-            atoms=[(p.conj(), w.conjugate()) for p, w in self.atoms],
-            lebesgue=self.lebesgue.conjugate(),
-        )
+        return AtomicMeasure(np.conj(self.points), np.conj(self.weights), self.lebesgue.conjugate())
 
 
 def dirac(point, weight: complex = 1.0) -> AtomicMeasure:
     """weight * delta_point, a single atom."""
-    return AtomicMeasure(atoms=[(point, weight)])
+    return AtomicMeasure([point], [weight])
 
 
 def total_variation(mu: AtomicMeasure) -> float:
@@ -127,10 +158,7 @@ def shift_measure(mu: AtomicMeasure) -> AtomicMeasure:
     conj(zeta) * c * m transforms to 0 (every moment integral vanishes), so it
     is dropped rather than carried as dead weight in the total variation.
     """
-    return AtomicMeasure(
-        atoms=[(p, w * p.value.conjugate()) for p, w in mu.atoms],
-        lebesgue=0.0,
-    )
+    return AtomicMeasure(mu.points, _product(mu.weights, np.conj(mu.points)))
 
 
 def inverse_shift(sigma: AtomicMeasure, h0: complex) -> AtomicMeasure:
@@ -143,49 +171,42 @@ def inverse_shift(sigma: AtomicMeasure, h0: complex) -> AtomicMeasure:
     only sigma's atoms enter; the identity above is exact whenever
     sigma.lebesgue = 0, which holds for every output of shift_measure.
     """
-    c_sigma = complex(np.sum(sigma.points * sigma.weights)) if sigma.atoms else 0.0
+    c_sigma = complex(np.sum(sigma.points * sigma.weights)) if sigma.natoms else 0.0
     return AtomicMeasure(
-        atoms=[(p, w * p.value) for p, w in sigma.atoms],
-        lebesgue=complex(h0) - c_sigma,
+        sigma.points, _product(sigma.weights, sigma.points), complex(h0) - c_sigma
     )
 
 
 def reflect_measure(mu: AtomicMeasure) -> AtomicMeasure:
     """Pushforward under conjugation: atoms move to conj(zeta), weights kept."""
-    return AtomicMeasure(
-        atoms=[(p.conj(), w) for p, w in mu.atoms],
-        lebesgue=mu.lebesgue,
-    )
+    return AtomicMeasure(np.conj(mu.points), mu.weights, mu.lebesgue)
 
 
 # ---------------------------------------------------------------------------
 # JSON interchange
 
 
-def _point_from_json(obj, what: str) -> UnitPoint:
+def _point_from_json(obj, what: str) -> complex:
     if isinstance(obj, dict) and "angle_deg" in obj:
         theta = np.deg2rad(real_from_json(obj["angle_deg"], f"{what}.angle_deg"))
-        return UnitPoint(complex(np.cos(theta), np.sin(theta)))
-    return UnitPoint(complex_from_json(obj, what))
+        return complex(np.cos(theta), np.sin(theta))
+    return complex_from_json(obj, what)
 
 
 def measure_to_jsonable(mu: AtomicMeasure) -> dict:
     return {
         "atoms": [
-            {"point": complex_to_json(p.value), "weight": complex_to_json(w)}
-            for p, w in mu.atoms
+            {"point": complex_to_json(p), "weight": complex_to_json(w)}
+            for p, w in zip(mu.points, mu.weights)
         ],
         "lebesgue": complex_to_json(mu.lebesgue),
     }
 
 
 def measure_from_jsonable(obj) -> AtomicMeasure:
-    atoms = [
-        (
-            _point_from_json(e["point"], f"atoms[{i}].point"),
-            complex_from_json(e["weight"], f"atoms[{i}].weight"),
-        )
-        for i, e in enumerate(atom_entries(obj, "measure", ("point", "weight")))
-    ]
+    points, weights = [], []
+    for i, e in enumerate(atom_entries(obj, "measure", ("point", "weight"))):
+        points.append(_point_from_json(e["point"], f"atoms[{i}].point"))
+        weights.append(complex_from_json(e["weight"], f"atoms[{i}].weight"))
     leb = complex_from_json(obj.get("lebesgue", {}), "lebesgue coefficient")
-    return AtomicMeasure(atoms=atoms, lebesgue=leb)
+    return AtomicMeasure(points, weights, leb)

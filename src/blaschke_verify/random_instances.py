@@ -66,7 +66,7 @@ def random_weights(rng, n: int) -> np.ndarray:
 def random_atomic_measure(rng, max_atoms: int = 8, min_atoms: int = 1) -> AtomicMeasure:
     n = int(rng.integers(min_atoms, max_atoms + 1))
     pts = random_unit_points(rng, n)
-    return AtomicMeasure(atoms=list(zip(pts, random_weights(rng, n))))
+    return AtomicMeasure(pts, random_weights(rng, n))
 
 
 def random_contraction(rng, n: int) -> np.ndarray:

@@ -4,7 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from blaschke_verify.measure import AtomicMeasure, UnitPoint, measure_from_jsonable
+from blaschke_verify.measure import AtomicMeasure, measure_from_jsonable
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -39,7 +39,4 @@ def random_measure_simple(rng, natoms):
     pts = np.exp(1j * angles)
     wts = rng.normal(size=natoms) + 1j * rng.normal(size=natoms)
     leb = complex(rng.normal(), rng.normal())
-    return AtomicMeasure(
-        atoms=tuple((UnitPoint(p), complex(c)) for p, c in zip(pts, wts)),
-        lebesgue=leb,
-    )
+    return AtomicMeasure(pts, wts, lebesgue=leb)

@@ -18,7 +18,7 @@ from blaschke_verify.bounds import (
 )
 from blaschke_verify.errors import DimensionMismatch, NotNormalized, ZeroOnBoundary
 from blaschke_verify.linalg import NumericalRangeSupport
-from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
+from blaschke_verify.measure import AtomicMeasure, dirac
 from blaschke_verify.random_instances import (
     complex_gaussian,
     random_contraction,
@@ -49,7 +49,7 @@ def test_report_jsonable_is_plain():
         lhs=np.float64(1.0),
         rhs=np.float64(2.0),
         tol=1e-9,
-        details={"v": np.float64(3.0), "ok": np.bool_(True), "n": np.int64(2)},
+        details={"v": np.float64(3.0), "ok": True, "n": 2},
     )
     payload = r.to_jsonable()
     json.dumps(payload, allow_nan=False)  # must not raise
@@ -84,7 +84,7 @@ def test_theorem2_random():
 
 
 def test_theorem2_empty_measure():
-    rep = check_theorem2(AtomicMeasure(atoms=()))
+    rep = check_theorem2(AtomicMeasure())
     assert rep.passed and rep.lhs == 0.0
 
 
@@ -103,12 +103,7 @@ def test_corollary_requires_unit_mass():
 
 def test_corollary_on_normalized_measure():
     # mass one: direct transform equals 1 at 0, bound reads off shifted rep
-    mu = AtomicMeasure(
-        atoms=(
-            (UnitPoint(1.0 + 0j), 0.75 + 0.25j),
-            (UnitPoint(-1.0 + 0j), 0.25 - 0.25j),
-        )
-    )
+    mu = AtomicMeasure([1.0, -1.0], [0.75 + 0.25j, 0.25 - 0.25j])
     assert abs(mu.mass() - 1.0) < 1e-15
     rep = check_corollary(mu)
     assert rep.passed

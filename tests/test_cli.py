@@ -371,6 +371,18 @@ _LINE_MOMENTS = "atoms: sum |s_j| |c_j| = "
         # sum |s_j| |c_j| is finite, but s_1 - s_1 c_1 in L overflows
         ("real-line", _line((1e308, -1.0), (0.5, 2.0)), _LINE_MOMENTS + "1e+308"),
         ("real-line", _line((1, 1.5e308), (0.5, 1e308), (0.5, -1.5e308)), "weights sum to (inf"),
+        # an off-circle point names its atom, as a malformed field does
+        (
+            "verify-measure",
+            {"atoms": [_atom(1.0, 0.5), {"point": {"re": 0.5, "im": 0.5}, "weight": {"re": 0.5}}]},
+            "atoms[1].point |(0.5+0.5j)| = 0.7071067811865476 is not within 1e-9 of 1",
+        ),
+        # both parts finite, but the modulus overflows
+        (
+            "verify-measure",
+            {"atoms": [{"point": {"re": 1.7e308, "im": 1.7e308}, "weight": {"re": 1.0}}]},
+            "atoms[0].point |(1.7e+308+1.7e+308j)| = inf is not within",
+        ),
     ],
 )
 def test_exit_two_on_malformed_file(capsys, tmp_path, command, obj, named):
@@ -466,6 +478,54 @@ def test_json_and_csv_out(capsys, tmp_path, data_dir):
     lines = cout.read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,slack,tol,pass,details"
     assert len(lines) >= 2
+
+
+def _numpy_scalars(obj, path="$"):
+    """Where obj holds a numpy scalar other than float64, with its type."""
+    if isinstance(obj, dict):
+        return [p for k, v in obj.items() for p in _numpy_scalars(v, f"{path}.{k}")]
+    if isinstance(obj, (list, tuple)):
+        return [p for i, v in enumerate(obj) for p in _numpy_scalars(v, f"{path}[{i}]")]
+    if isinstance(obj, np.generic) and type(obj) is not np.float64:
+        return [f"{path}: {type(obj).__name__}"]
+    return []
+
+
+_FORCED = ["--tol", "blaschke=-1", "--tol", "schur=-1", "--tol", "realline=-1"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-measure", SHARP],
+        ["verify-measure", str(DATA / "double_zero_measure.json"), "--mode", "direct"],
+        ["verify-system", str(DATA / "dilate_system.json")],
+        ["dilate", str(DATA / "dilate_system.json")],
+        ["jensen", "--instances", "5"],
+        ["schur-chain", "--instances", "5"],
+        ["real-line", str(DATA / "real_line_fixture.json")],
+        ["real-line", "--instances", "5"],
+        ["random-suite", "--which", "all", "--instances", "5"],
+        # every instance fails, so each one's replay dump is written too
+        ["random-suite", "--which", "all", "--instances", "5", *_FORCED],
+    ],
+    ids=["verify-measure", "verify-measure-direct", "verify-system", "dilate", "jensen",
+         "schur-chain", "real-line-file", "real-line-suite", "random-suite", "random-suite-failing"],
+)
+def test_payloads_hold_no_numpy_scalar_but_float64(capsys, monkeypatch, tmp_path, argv):
+    # json writes np.float64 as float's repr, so it needs no conversion; any
+    # other numpy scalar would make json.dumps raise
+    seen = []
+    dumps = json.dumps
+
+    def walking_dumps(obj, *args, **kwargs):
+        seen.extend(_numpy_scalars(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", walking_dumps)
+    code, out, _ = run(capsys, [*argv, "--csv-out", str(tmp_path / "out.csv")])
+    assert code in (0, 1) and out
+    assert seen == []
 
 
 def test_failed_instance_dumped_to_stderr(capsys):

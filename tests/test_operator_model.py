@@ -17,7 +17,7 @@ from blaschke_verify.errors import (
     OutsideDomain,
     SingularResolvent,
 )
-from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
+from blaschke_verify.measure import AtomicMeasure, dirac
 from blaschke_verify.operator_model import (
     ContractionSystem,
     build_L,
@@ -48,12 +48,12 @@ def test_rank_one_factors():
     assert np.allclose(np.abs(psi), np.abs(phi), rtol=1e-15, atol=0)
     assert np.linalg.norm(phi) * np.linalg.norm(psi) == pytest.approx(np.sum(np.abs(c)))
     # the measure model takes its phi, psi from here, and needs lebesgue = 0
-    mu = AtomicMeasure(atoms=((UnitPoint(1.0 + 0j), -2.0 + 0j), (1j, 0.5j)))
+    mu = AtomicMeasure([1.0, 1j], [-2.0, 0.5j])
     s = build_system_from_measure(mu)
     want = rank_one_factors(mu.weights)
     assert np.array_equal(s.phi, want[0]) and np.array_equal(s.psi, want[1])
     with pytest.raises(NonAtomicMeasure):
-        build_system_from_measure(AtomicMeasure(atoms=mu.atoms, lebesgue=1.0 + 0j))
+        build_system_from_measure(AtomicMeasure(mu.points, mu.weights, lebesgue=1.0 + 0j))
 
 
 def test_rank_one_factors_of_subnormal_weights():
@@ -96,23 +96,21 @@ def test_contraction_system_validation():
 
 
 def test_build_system_from_measure_structure():
-    mu = AtomicMeasure(
-        atoms=((UnitPoint(1j), -2.0 + 0j), (UnitPoint(-1.0 + 0j), 1.0 + 1.0j))
-    )
+    mu = AtomicMeasure([1j, -1.0], [-2.0, 1.0 + 1.0j])
     s = build_system_from_measure(mu)
     # A is the diagonal of conjugated atom locations, phi/psi split |c| and phase
     assert np.allclose(s.A, np.diag(np.conj(mu.points)))
     assert np.allclose(np.abs(s.phi) ** 2, np.abs(mu.weights))
     assert np.allclose(s.phi * np.conj(s.psi), mu.weights)
     with pytest.raises(EmptyMeasure):
-        build_system_from_measure(AtomicMeasure(atoms=()))
+        build_system_from_measure(AtomicMeasure())
 
 
 def test_resolvent_h_equals_transform_h():
     rng = np.random.default_rng(20)
     for _ in range(20):
         mu = random_measure_simple(rng, int(rng.integers(1, 7)))
-        mu = AtomicMeasure(atoms=mu.atoms)  # transform side carries no lebesgue
+        mu = AtomicMeasure(mu.points, mu.weights)  # transform side carries no lebesgue
         s = build_system_from_measure(mu)
         for _ in range(5):
             w = 0.9 * np.sqrt(rng.random()) * np.exp(1j * rng.uniform(0, 2 * np.pi))

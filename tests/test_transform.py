@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from blaschke_verify.errors import OutsideDisk
-from blaschke_verify.measure import AtomicMeasure, UnitPoint, dirac
+from blaschke_verify.measure import AtomicMeasure, dirac
 from blaschke_verify.transform import (
     CauchyFunction,
     eval_K,
@@ -31,7 +31,7 @@ def disk_points(rng, n, rmax=0.95):
 
 
 def test_lebesgue_transform_is_constant():
-    mu = AtomicMeasure(atoms=(), lebesgue=3.0 - 1.0j)
+    mu = AtomicMeasure(lebesgue=3.0 - 1.0j)
     rng = np.random.default_rng(0)
     w = disk_points(rng, 50)
     assert np.allclose(eval_K(mu, w), 3.0 - 1.0j)
@@ -108,7 +108,7 @@ def test_taylor_moments_against_contour_oracle():
 
 
 def test_taylor_moment_zero_includes_lebesgue():
-    mu = AtomicMeasure(atoms=((UnitPoint(1j), 2.0 + 0j),), lebesgue=1.5 + 0j)
+    mu = AtomicMeasure([1j], [2.0], lebesgue=1.5 + 0j)
     assert taylor_moment(mu, 0) == pytest.approx(3.5)
     assert taylor_moment(mu, 1) == pytest.approx(2.0 * np.conj(1j))
 
@@ -171,11 +171,8 @@ def _bit_identity_measures():
         yield random_measure_simple(rng, n)
         yield random_atomic_measure(spawn_rng(2011, n), max_atoms=n, min_atoms=n)
     axes = (1.0, 1j, -1.0, -1j)
-    yield AtomicMeasure(
-        atoms=tuple((UnitPoint(p), complex(c)) for p, c in zip(axes, (1, 1j, -1, 0.5))),
-        lebesgue=-0.25j,
-    )
-    yield AtomicMeasure(atoms=((UnitPoint(1.0), 1.0 + 0j), (UnitPoint(-1.0), -1.0 + 0j)))
+    yield AtomicMeasure(axes, (1, 1j, -1, 0.5), lebesgue=-0.25j)
+    yield AtomicMeasure([1.0, -1.0], [1.0, -1.0])
 
 
 def test_rational_form_bytes_match_the_former_product_loop():

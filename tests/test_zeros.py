@@ -5,19 +5,24 @@ share nothing but the measure, so agreement on random instances is strong
 evidence each is right; hand-computable examples pin the absolute answers.
 """
 
+import ast
 import json
 import math
+import pathlib
+import sys
+import types
 import warnings
 
 import numpy as np
 import pytest
 
-from blaschke_verify.errors import NonIntegerWinding, NumericalError
+from blaschke_verify import linalg
+from blaschke_verify.errors import BlaschkeVerifyError, InputError, NonIntegerWinding, NumericalError
 from blaschke_verify.measure import (
     AtomicMeasure,
-    UnitPoint,
     dirac,
     measure_from_jsonable,
+    shift_measure,
 )
 from blaschke_verify.operator_model import build_system_from_measure
 from blaschke_verify.random_instances import random_conditioned_measure, spawn_rng
@@ -163,9 +168,7 @@ def test_two_atom_closed_form():
     # sigma = a delta_1 - a delta_{-1}: K = 2aw/(1-w^2), so
     # h = (1 + (2a-1)w^2)/(1-w^2) with zeros at +-i/sqrt(2a-1)
     a = 2.0
-    mu = AtomicMeasure(
-        atoms=((UnitPoint(1.0 + 0j), a + 0j), (UnitPoint(-1.0 + 0j), -a + 0j))
-    )
+    mu = AtomicMeasure([1.0, -1.0], [a, -a])
     want = 1j / np.sqrt(2 * a - 1)
     zs = zeros_via_numerator_roots(shifted(mu))
     assert zs.count == 2
@@ -562,17 +565,14 @@ def direct_with_zeros(zs, points):
     The weights are the residues N(p_j) / prod_{k != j} (1 - p_j conj(p_k))
     of the partial fractions, and the Lebesgue part is h at infinity.
     """
-    pts = [UnitPoint(p).value for p in points]
+    pts = [complex(p) / abs(complex(p)) for p in points]
     weights = [
         np.prod([p - z for z in zs])
         / np.prod([1.0 - p * np.conj(q) for q in pts if q != p])
         for p in pts
     ]
     leb = 1.0 / np.prod([-np.conj(q) for q in pts])
-    mu = AtomicMeasure(
-        atoms=tuple((UnitPoint(p), complex(c)) for p, c in zip(pts, weights)),
-        lebesgue=complex(leb),
-    )
+    mu = AtomicMeasure(pts, weights, lebesgue=complex(leb))
     return CauchyFunction(source=mu, mode="direct")
 
 
@@ -865,3 +865,128 @@ def test_zeros_1e5_apart_sum_to_the_top_count():
     z1 = 0.3 + 0.2j
     f = direct_with_zeros([z1, z1 + 1e-5, -0.1 + 0.4j], [1, 1j, -1])
     assert zeros_via_argument_principle(f).count == 3
+
+
+# ---------------------------------------------------------------------------
+# the three routes stay independent
+
+
+def _code_keys(func):
+    """(module, co_name, co_firstlineno) of func and of the code nested in it
+    (comprehensions, lambdas); Python 3.10 has no co_qualname."""
+    module = func.__globals__["__name__"]
+    stack, keys = [func.__code__], set()
+    while stack:
+        code = stack.pop()
+        keys.add((module, code.co_name, code.co_firstlineno))
+        stack.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return keys
+
+
+def _class_keys(cls):
+    keys = set()
+    for v in vars(cls).values():
+        v = v.fget if isinstance(v, property) else v
+        if isinstance(v, types.FunctionType):
+            keys |= _code_keys(v)
+    return keys
+
+
+# what the routes may share: the eigensolver, the measure's atom count and the
+# zero set they all return
+ROUTE_SHARED = set().union(
+    _code_keys(linalg.schur_decompose),
+    _class_keys(linalg.SchurForm),
+    _code_keys(linalg.as_square_matrix),
+    _code_keys(linalg.cluster_points),
+    _class_keys(linalg.EigenCluster),
+    _code_keys(AtomicMeasure.natoms.fget),
+    _class_keys(ZeroSet),
+)
+
+
+def _reached(call) -> set:
+    """Package functions call reaches, run to its end or to its error."""
+    seen = set()
+
+    def profile(frame, event, arg):
+        module = frame.f_globals.get("__name__", "")
+        if event == "call" and module.startswith("blaschke_verify."):
+            code = frame.f_code
+            seen.add((module, code.co_name, code.co_firstlineno))
+
+    sys.setprofile(profile)
+    try:
+        call()
+    except BlaschkeVerifyError:
+        pass
+    finally:
+        sys.setprofile(None)
+    return seen
+
+
+def _data_measures():
+    for path in sorted(DATA.glob("*.json")):
+        with open(path) as fh:
+            obj = json.load(fh)
+        for m in obj.get("measures", [obj]):
+            try:
+                yield measure_from_jsonable(m)
+            except InputError:  # a system or real-line file
+                pass
+
+
+def test_routes_share_only_the_eigensolver():
+    reached = [set(), set(), set()]
+    for mu in _data_measures():
+        for mode in ("shifted", "direct"):
+            f = CauchyFunction(source=mu, mode=mode)
+            sigma = mu if mode == "shifted" else shift_measure(mu)
+            routes = [
+                lambda: zeros_via_L(build_system_from_measure(sigma)),
+                lambda: zeros_via_argument_principle(f),
+                lambda: zeros_via_numerator_roots(f),
+            ]
+            for seen, route in zip(reached, routes):
+                seen |= _reached(route)
+    for a, b in ((0, 1), (0, 2), (1, 2)):
+        extra = (reached[a] & reached[b]) - ROUTE_SHARED
+        assert not extra, (f"routes {a + 1} and {b + 1} share", sorted(extra))
+    # each route ran its own machinery
+    assert ("blaschke_verify.operator_model", "build_L") in {k[:2] for k in reached[0]}
+    assert ("blaschke_verify.transform", "_K_values") in {k[:2] for k in reached[1]}
+    assert ("blaschke_verify.transform", "rational_form") in {k[:2] for k in reached[2]}
+
+
+def test_route_code_names_only_its_own_machinery():
+    # the top-level definitions of zeros.py each route reaches by name, from
+    # its entry point; a name of another route's machinery may appear only
+    # in code that its own route alone reaches
+    tree = ast.parse(pathlib.Path(zeros_mod.__file__).read_text())
+    names = {
+        node.name: {n.id if isinstance(n, ast.Name) else n.attr
+                    for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute))}
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    }
+
+    def closure(entry):
+        todo, seen = [entry], set()
+        while todo:
+            name = todo.pop()
+            if name not in seen:
+                seen.add(name)
+                todo.extend(n for n in names[name] if n in names)
+        return seen
+
+    routes = {
+        "zeros_via_L": {"build_L"},
+        "zeros_via_argument_principle": {"_K_values", "_K_derivative"},
+        "zeros_via_numerator_roots": {"rational_form"},
+    }
+    reach = {entry: closure(entry) for entry in routes}
+    for entry, own in routes.items():
+        others = set().union(*(reach[e] for e in routes if e != entry))
+        for name in own:
+            users = {d for d, used in names.items() if name in used}
+            assert users and users <= reach[entry] - others, (name, sorted(users))
