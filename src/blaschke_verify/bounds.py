@@ -3,19 +3,17 @@
 The right-hand sides involving the representation-norm of h are replaced by
 the total variation of the explicit representative at hand, which upper
 bounds the infimum over representations; reports label such sides as
-surrogates.  Every check's result depends on its arguments alone, so callers
-may run checks on several threads.  The one state kept between calls is the
-numerical-range support and the factors of the last pair seen on each thread
-(see _pair_of): they let the trace bound and the Schur chain of one pair
-share one grid, one Schur form and one SVD, and they are never visible in a
-result.
+surrogates.  Every check's result depends on its arguments alone.  The one
+state kept between calls is the numerical-range support and the factors of
+the last pair checked (see _pair_of): they let the trace bound and the Schur
+chain of one pair share one grid, one Schur form and one SVD, and they are
+never visible in a result.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-import threading
 
 import numpy as np
 
@@ -161,40 +159,30 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     )
 
 
-# the numerical-range support of the last A, and the factors of the last
-# pair, on each thread; see _pair_of
-_LAST = threading.local()
+_pair_slot = None  # see _pair_of
 
 
-def _pair_of(A: np.ndarray, L: np.ndarray):
-    """(NumericalRangeSupport of A, Schur form of L, trace_norm(L - A)) of a
-    validated pair, each computed once per pair.
+def _pair_of(A, L):
+    """(A, L, NumericalRangeSupport of A, Schur form of L, trace_norm(L - A))
+    of the validated pair; raises DimensionMismatch for unequal shapes.
 
-    The previous call on this thread is reused, by shape and bytes: its
-    support when it had the same A, and its Schur form and trace norm when it
-    had the same A and L.  check_theorem3 and check_schur_chain of one pair
-    then share the grid, every refined distance, one Schur form and one SVD.
-    Only the last ones are kept, so a different or mutated matrix computes
-    anew and nothing outlives the next pair.  Each thread keeps its own, so
-    callers that run checks on several threads never share them.
+    One module slot holds the last pair checked as one immutable tuple
+    (key, support, schur, trace_norm), keyed by (shape, A.tobytes(),
+    L.tobytes()), so check_theorem3 and check_schur_chain of one pair share
+    the grid, every refined distance, one Schur form and one SVD.  Any other
+    pair, or the same arrays changed in place, replaces the tuple whole.  It
+    is read once, so threads can recompute a pair but never read a mixed one.
     """
-    a_key = (A.shape, A.tobytes())
-    if getattr(_LAST, "a_key", None) != a_key:
-        _LAST.support = NumericalRangeSupport(A)
-        _LAST.a_key = a_key
-    pair_key = (a_key, L.tobytes())
-    if getattr(_LAST, "pair_key", None) != pair_key:
-        _LAST.schur, _LAST.trace_norm = schur_decompose(L), trace_norm(L - A)
-        _LAST.pair_key = pair_key
-    return _LAST.support, _LAST.schur, _LAST.trace_norm
-
-
-def _validated_pair(A, L):
-    A = as_square_matrix(A)
-    L = as_square_matrix(L)
+    global _pair_slot
+    A, L = as_square_matrix(A), as_square_matrix(L)
     if A.shape != L.shape:
         raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
-    return A, L
+    key = (A.shape, A.tobytes(), L.tobytes())
+    slot = _pair_slot
+    if slot is None or slot[0] != key:
+        slot = (key, NumericalRangeSupport(A), schur_decompose(L), trace_norm(L - A))
+        _pair_slot = slot
+    return (A, L) + slot[1:]
 
 
 def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
@@ -207,8 +195,7 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     is real, and a pass holds up to that width per eigenvalue.
     Raises DimensionMismatch when the shapes differ or the pair is empty.
     """
-    A, L = _validated_pair(A, L)
-    support, sf, tn = _pair_of(A, L)
+    A, L, support, sf, tn = _pair_of(A, L)
     clusters = eigenvalues_clustered(L, schur=sf)
     lhs = 0.0
     dists = []
@@ -242,8 +229,7 @@ def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
     compares S1 with the trace norm.  Raises DimensionMismatch when the shapes
     differ or the pair is empty.
     """
-    A, L = _validated_pair(A, L)
-    support, sf, tn = _pair_of(A, L)
+    A, L, support, sf, tn = _pair_of(A, L)
     lams = sf.eigenvalues
     S1 = float(sum(support.distance(lam) for lam in lams))
     AG = A @ sf.Q

@@ -107,7 +107,9 @@ def _check_counts(args):
     """Sizes and order must be positive and fit numpy arrays; seed and count not negative."""
     lows = {"max_atoms": 1, "max_dim": 1, "order": 1, "seed": 0, "instances": 0}
     for name, low in lows.items():
-        value = getattr(args, name, low)
+        value = getattr(args, name, None)
+        if value is None:  # not taken, or left unset (a real-line suite flag)
+            continue
         flag = "--" + name.replace("_", "-")
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {value}")
@@ -393,11 +395,21 @@ def cmd_schur_chain(args) -> int:
     return _emit(args, "schur-chain", _run_suite(["schur"], args))
 
 
+# real-line's suite flags: unset by the parser, so that one given with a path shows
+_LINE_SUITE_FLAGS = {"--seed": "seed", "--instances": "instances", "--max-atoms": "max_atoms"}
+
+
 def cmd_real_line(args) -> int:
     if args.path:
+        given = [f for f, name in _LINE_SUITE_FLAGS.items() if getattr(args, name) is not None]
+        if given:
+            raise InputError(f"real-line with a path runs no suite; drop {', '.join(given)}")
         atoms = line_atoms_from_jsonable(_load_json(args.path))
         reports = [check_real_line_variant(atoms, tol=_tol(args, "realline"))]
         return _emit(args, "real-line", reports)
+    for flag, name in _LINE_SUITE_FLAGS.items():
+        if getattr(args, name) is None:
+            setattr(args, name, _FLAGS[flag]["default"])
     return _emit(args, "real-line", _run_suite(["realline"], args))
 
 
@@ -448,6 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help=f"tolerance override; names: {', '.join(tols.split())}")
         c.set_defaults(func=func, tol_names=tols.split())
     sub.choices["real-line"].add_argument("path", nargs="?")  # the suite runs without one
+    sub.choices["real-line"].set_defaults(**dict.fromkeys(_LINE_SUITE_FLAGS.values()))
     return p
 
 

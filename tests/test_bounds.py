@@ -15,6 +15,7 @@ from blaschke_verify.bounds import (
     check_theorem2,
     check_theorem3,
     summarize,
+    _pair_of,
 )
 from blaschke_verify.errors import DimensionMismatch, NotNormalized, ZeroOnBoundary
 from blaschke_verify.linalg import NumericalRangeSupport
@@ -150,7 +151,7 @@ def _counting(monkeypatch, cls, name, counts):
 
 
 def _fresh_checks(A, L):
-    """Both reports, each after another pair has replaced this thread's grid."""
+    """Both reports, each after another pair has replaced the slot's grid."""
     flush = np.eye(2, dtype=complex)
     reports = []
     for check in (check_theorem3, check_schur_chain):
@@ -166,7 +167,8 @@ def test_trace_pair_builds_one_grid(monkeypatch):
     # four singleton clusters, three of them at a positive distance
     A, L = random_lowrank_pair(spawn_rng(38, 0), max_dim=6)
     fresh = _fresh_checks(A, L)
-    check_theorem3(np.eye(2, dtype=complex), np.eye(2, dtype=complex))
+    flush = np.eye(2, dtype=complex)
+    check_theorem3(flush, flush)
 
     start = dict(counts)
     r3 = check_theorem3(A, L)
@@ -179,36 +181,41 @@ def test_trace_pair_builds_one_grid(monkeypatch):
                       "_support_at": start["_support_at"] + refinements}
     assert [r3, chain] == fresh
 
-    # one changed entry of A, in place, is a different pair; the entry is
-    # put back exactly (x + 0.5 - 0.5 need not be x), so A is the pair again
+    # the slot is one for all threads: another thread checking the pair just
+    # checked builds no new grid, and gets the same reports
+    before = counts["__init__"]
+    out = []
+    worker = threading.Thread(
+        target=lambda: out.extend([check_theorem3(A, L), check_schur_chain(A, L)])
+    )
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive()
+    assert counts["__init__"] == before
+    assert out == fresh
+
+    # the slot keeps the last pair only, keyed by A and L together: pairs
+    # P, Q, P in turn build three grids, though Q differs from P only in L
+    check_theorem3(flush, flush)
+    before = counts["__init__"]
+    for pair in ((A, L), (A, 2 * L), (A, L)):
+        check_theorem3(*pair)
+    assert counts["__init__"] == before + 3
+
+    # one changed entry of A, in place, is a different pair: it is rebuilt,
+    # and the old pair's support still answers for the matrix it was built
+    # from; the entry is put back exactly (x + 0.5 - 0.5 need not be x)
+    old = _pair_of(A, L)[2]
+    built_from = A.copy()
     a00 = A[0, 0]
     A[0, 0] += 0.5
     before = counts["__init__"]
     check_theorem3(A, L)
     assert counts["__init__"] == before + 1
-    A[0, 0] = a00
-
-    # another thread keeps its own support, even for the pair this one holds
-    check_theorem3(A, L)
-    before = counts["__init__"]
-    out = []
-    worker = threading.Thread(target=lambda: out.append(check_theorem3(A, L)))
-    worker.start()
-    worker.join(timeout=60)
-    assert not worker.is_alive()
-    assert counts["__init__"] == before + 1
-    assert out == [r3]
-
-    # the support copies A: after A changes in place, its old entries in a
-    # new array reuse the grid, and refine against the matrix it was built from
-    twice = 2 * L
-    want = _fresh_checks(A, twice)
-    _fresh_checks(A, L)
-    old = A.copy()
-    A[0, 0] += 0.5
-    before = counts["__init__"]
-    assert [check_theorem3(old, twice), check_schur_chain(old, twice)] == want
-    assert counts["__init__"] == before
+    assert np.array_equal(old.A, built_from)
+    far = 10.0 + 10.0j
+    assert old.distance(far) == NumericalRangeSupport(built_from).distance(far)
+    assert old.distance(far) != NumericalRangeSupport(A).distance(far)
     A[0, 0] = a00
 
     # a point far outside Num(A) is refined once, then looked up

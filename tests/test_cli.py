@@ -637,7 +637,8 @@ def test_dilation_suite_draws_its_system_by_random_system():
 
 _LINE_FIXTURE = str(DATA / "real_line_fixture.json")
 _SYSTEM = str(DATA / "dilate_system.json")
-# subcommand: (argv of a passing run, the suite flags and --tol names it reads)
+# subcommand: (argv of a passing run, the suite flags and --tol names it reads);
+# real-line reads its suite flags only as the suite, without a path
 _READS = {
     "verify-measure": ([SHARP], "", "blaschke pairing"),
     "verify-system": ([_SYSTEM], "", "blaschke determinant"),
@@ -646,7 +647,7 @@ _READS = {
     "dilate": ([_SYSTEM, "--order", "2"], "", "taylor"),
     "jensen": (["--instances", "1"], "--seed --instances", "jensen"),
     "schur-chain": (["--instances", "1"], "--seed --instances --max-dim", "schur"),
-    "real-line": ([_LINE_FIXTURE], "--seed --instances --max-atoms", "realline"),
+    "real-line": (["--instances", "1"], "--seed --instances --max-atoms", "realline"),
 }
 
 
@@ -655,11 +656,12 @@ def test_subcommand_takes_only_the_flags_and_tols_it_reads(capsys, command):
     base, flags, tols = _READS[command]
     argv = [command, *base]
     assert run(capsys, argv)[0] == 0
+    # FLAG=2, since real-line's suite would take a bare 2 for its path
     for flag in {"--seed", "--instances", "--max-atoms", "--max-dim"} - set(flags.split()):
         with pytest.raises(SystemExit) as exc:
-            main(argv + [flag, "2"])
+            main(argv + [f"{flag}=2"])
         assert exc.value.code == 2
-        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}=2" in capsys.readouterr().err
     names = {"blaschke", "determinant", "jensen", "pairing", "realline", "schur", "taylor"}
     for name in names - set(tols.split()):
         code, out, err = run(capsys, argv + ["--tol", f"{name}=1e-6"])
@@ -669,6 +671,18 @@ def test_subcommand_takes_only_the_flags_and_tols_it_reads(capsys, command):
     # every name it takes is read: no report's slack reaches 1e9
     for name in tols.split():
         assert run(capsys, argv + ["--tol", f"{name}=-1e9"])[0] == 1, name
+
+
+# each at its default value: a flag given with a path is refused whatever it says
+@pytest.mark.parametrize("flag, value", [("--seed", "42"), ("--instances", "100"),
+                                         ("--max-atoms", "8")])
+def test_real_line_with_a_path_takes_no_suite_flag(capsys, flag, value):
+    for argv in (["real-line", _LINE_FIXTURE, flag, value],
+                 ["real-line", flag, "3", _LINE_FIXTURE]):
+        code, out, err = run(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("input error: real-line with a path runs no suite; drop ")
+        assert flag in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

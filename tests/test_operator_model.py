@@ -199,9 +199,14 @@ def test_singular_resolvent_raises_without_warning(call):
             call(s)
 
 
-def test_only_linalg_imports_scipy():
-    # the resolvents solve with numpy; the Schur form is scipy's one call site
-    importers = []
+# module: the only files of the package that may import it.  The resolvents
+# solve with numpy, so the Schur form is scipy's one call site; no check keeps
+# per-thread state, so nothing imports threading
+_IMPORTERS = {"scipy": {"linalg.py"}, "threading": set()}
+
+
+def test_only_listed_files_import_scipy_and_threading():
+    importers = {module: set() for module in _IMPORTERS}
     for path in sorted(pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Import):
@@ -210,9 +215,9 @@ def test_only_linalg_imports_scipy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(n.split(".")[0] == "scipy" for n in names):
-                importers.append(path.name)
-    assert set(importers) == {"linalg.py"}
+            for top in {n.split(".")[0] for n in names} & importers.keys():
+                importers[top].add(path.name)
+    assert importers == _IMPORTERS
 
 
 def test_determinant_is_charpoly_ratio():
