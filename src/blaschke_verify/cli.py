@@ -108,15 +108,14 @@ def _check_counts(args):
     lows = {"max_atoms": 1, "max_dim": 1, "order": 1, "seed": 0, "instances": 0}
     for name, low in lows.items():
         value = getattr(args, name, None)
-        if value is None:  # not taken, or left unset (a real-line suite flag)
+        if value is None:  # a flag the subcommand does not take
             continue
         flag = "--" + name.replace("_", "-")
         if value < low:
             raise InputError(f"{flag} must be >= {low}, got {value}")
         if name.startswith("max_") and _too_large(value):
             raise InputError(f"{flag} {value}: a {value}x{value} model is too large to allocate")
-    pairs = args.command == "schur-chain" or getattr(args, "which", "") in ("thm3", "schur", "all")
-    if pairs and args.max_dim < MIN_PAIR_DIM:
+    if getattr(args, "which", "") in ("thm3", "schur", "all") and args.max_dim < MIN_PAIR_DIM:
         raise InputError(
             f"--max-dim must be >= {MIN_PAIR_DIM} for the thm3 and schur suites, got {args.max_dim}"
         )
@@ -391,26 +390,9 @@ def cmd_jensen(args) -> int:
     return _emit(args, "jensen", reports)
 
 
-def cmd_schur_chain(args) -> int:
-    return _emit(args, "schur-chain", _run_suite(["schur"], args))
-
-
-# real-line's suite flags: unset by the parser, so that one given with a path shows
-_LINE_SUITE_FLAGS = {"--seed": "seed", "--instances": "instances", "--max-atoms": "max_atoms"}
-
-
 def cmd_real_line(args) -> int:
-    if args.path:
-        given = [f for f, name in _LINE_SUITE_FLAGS.items() if getattr(args, name) is not None]
-        if given:
-            raise InputError(f"real-line with a path runs no suite; drop {', '.join(given)}")
-        atoms = line_atoms_from_jsonable(_load_json(args.path))
-        reports = [check_real_line_variant(atoms, tol=_tol(args, "realline"))]
-        return _emit(args, "real-line", reports)
-    for flag, name in _LINE_SUITE_FLAGS.items():
-        if getattr(args, name) is None:
-            setattr(args, name, _FLAGS[flag]["default"])
-    return _emit(args, "real-line", _run_suite(["realline"], args))
+    atoms = line_atoms_from_jsonable(_load_json(args.path))
+    return _emit(args, "real-line", [check_real_line_variant(atoms, tol=_tol(args, "realline"))])
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +422,7 @@ _COMMANDS = {
                      "--which --seed --instances --max-atoms --max-dim"),
     "dilate": (cmd_dilate, "dilation round trip on a system", "taylor", "path --order"),
     "jensen": (cmd_jensen, "boundary-integral chains", "jensen", "--seed --instances"),
-    "schur-chain": (cmd_schur_chain, "Schur-basis chain suite", "schur",
-                    "--seed --instances --max-dim"),
-    "real-line": (cmd_real_line, "half-plane variant", "realline", "--seed --instances --max-atoms"),
+    "real-line": (cmd_real_line, "half-plane variant", "realline", "path"),
 }
 
 
@@ -459,8 +439,6 @@ def build_parser() -> argparse.ArgumentParser:
         c.add_argument("--tol", action="append", metavar="NAME=VAL",
                        help=f"tolerance override; names: {', '.join(tols.split())}")
         c.set_defaults(func=func, tol_names=tols.split())
-    sub.choices["real-line"].add_argument("path", nargs="?")  # the suite runs without one
-    sub.choices["real-line"].set_defaults(**dict.fromkeys(_LINE_SUITE_FLAGS.values()))
     return p
 
 

@@ -32,6 +32,7 @@ from .errors import (
     NonAtomicMeasure,
     NonFiniteValue,
     NotAContraction,
+    NumericalError,
     OutsideDisk,
     OutsideDomain,
     SingularResolvent,
@@ -122,13 +123,24 @@ def _solve(B: np.ndarray, rhs: np.ndarray, what: str) -> np.ndarray:
     return x
 
 
+def _finite(value, what: str) -> complex:
+    """value as a complex, which must be finite; what names it."""
+    value = complex(value)
+    if not np.isfinite(value):
+        raise NumericalError(f"{what} is not finite: {value!r}")
+    return value
+
+
 def eval_h_resolvent(s: ContractionSystem, w: complex) -> complex:
     """h(w) = 1 + w <(I - wA)^{-1} phi, psi> by LU solve, |w| < 1."""
     w = complex(w)
     if abs(w) >= 1.0:
         raise OutsideDisk(f"|w| = {abs(w)!r} >= 1")
     B = np.eye(s.n, dtype=complex) - w * s.A
-    return complex(1.0 + w * np.vdot(s.psi, _solve(B, s.phi, f"I - wA at w = {w!r}")))
+    x = _solve(B, s.phi, f"I - wA at w = {w!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
+        h = 1.0 + w * np.vdot(s.psi, x)
+    return _finite(h, f"h at w = {w!r}")
 
 
 def build_L(s: ContractionSystem) -> np.ndarray:
@@ -153,11 +165,13 @@ def perturbation_determinant(
         raise ValueError(f"unknown method {method!r}")
     B = lam * np.eye(s.n, dtype=complex) - s.A
     what = f"lam - A at lam = {lam!r}"
-    if method == "rank1":
-        return complex(1.0 + np.vdot(s.psi, _solve(B, s.phi, what)))
-    R = _solve(B, np.eye(s.n, dtype=complex), what)
-    full = np.eye(s.n, dtype=complex) + np.outer(s.phi, np.conj(s.psi)) @ R
-    return complex(np.linalg.det(full))
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
+        if method == "rank1":
+            d = 1.0 + np.vdot(s.psi, _solve(B, s.phi, what))
+        else:
+            R = _solve(B, np.eye(s.n, dtype=complex), what)
+            d = np.linalg.det(np.eye(s.n, dtype=complex) + np.outer(s.phi, np.conj(s.psi)) @ R)
+    return _finite(d, f"the {method} determinant at lam = {lam!r}")
 
 
 def eigenvalues_outside_disk(L, cluster_tol: float = DEFAULT_CLUSTER_TOL):

@@ -102,7 +102,7 @@ def test_failure_dumps_come_suite_by_suite(capsys):
 
 @pytest.mark.parametrize(
     "argv, parent",
-    [(["schur-chain", "--instances", "2"], "schur-chain"),
+    [(["random-suite", "--which", "schur", "--instances", "2"], "schur-chain"),
      (["jensen", "--instances", "1"], "hardy-chain")],
     ids=["schur-chain", "jensen"],
 )
@@ -414,7 +414,6 @@ _PAIR_DIM = "--max-dim must be >= 2 for the thm3 and schur suites, got 1"
         (["random-suite", "--which", "thm3", "--max-dim", "1"], _PAIR_DIM),
         (["random-suite", "--which", "schur", "--max-dim", "1"], _PAIR_DIM),
         (["random-suite", "--which", "all", "--max-dim", "1"], _PAIR_DIM),
-        (["schur-chain", "--max-dim", "1"], _PAIR_DIM),
     ],
     # the flag names the case
     ids=lambda v: v.split()[0] if isinstance(v, str) else None,
@@ -502,15 +501,13 @@ _FORCED = ["--tol", "blaschke=-1", "--tol", "schur=-1", "--tol", "realline=-1"]
         ["verify-system", str(DATA / "dilate_system.json")],
         ["dilate", str(DATA / "dilate_system.json")],
         ["jensen", "--instances", "5"],
-        ["schur-chain", "--instances", "5"],
         ["real-line", str(DATA / "real_line_fixture.json")],
-        ["real-line", "--instances", "5"],
         ["random-suite", "--which", "all", "--instances", "5"],
         # every instance fails, so each one's replay dump is written too
         ["random-suite", "--which", "all", "--instances", "5", *_FORCED],
     ],
     ids=["verify-measure", "verify-measure-direct", "verify-system", "dilate", "jensen",
-         "schur-chain", "real-line-file", "real-line-suite", "random-suite", "random-suite-failing"],
+         "real-line-file", "random-suite", "random-suite-failing"],
 )
 def test_payloads_hold_no_numpy_scalar_but_float64(capsys, monkeypatch, tmp_path, argv):
     # json writes np.float64 as float's repr, so it needs no conversion; any
@@ -637,8 +634,7 @@ def test_dilation_suite_draws_its_system_by_random_system():
 
 _LINE_FIXTURE = str(DATA / "real_line_fixture.json")
 _SYSTEM = str(DATA / "dilate_system.json")
-# subcommand: (argv of a passing run, the suite flags and --tol names it reads);
-# real-line reads its suite flags only as the suite, without a path
+# subcommand: (argv of a passing run, the suite flags and --tol names it reads)
 _READS = {
     "verify-measure": ([SHARP], "", "blaschke pairing"),
     "verify-system": ([_SYSTEM], "", "blaschke determinant"),
@@ -646,8 +642,7 @@ _READS = {
                      "blaschke realline schur taylor"),
     "dilate": ([_SYSTEM, "--order", "2"], "", "taylor"),
     "jensen": (["--instances", "1"], "--seed --instances", "jensen"),
-    "schur-chain": (["--instances", "1"], "--seed --instances --max-dim", "schur"),
-    "real-line": (["--instances", "1"], "--seed --instances --max-atoms", "realline"),
+    "real-line": ([_LINE_FIXTURE], "", "realline"),
 }
 
 
@@ -656,7 +651,6 @@ def test_subcommand_takes_only_the_flags_and_tols_it_reads(capsys, command):
     base, flags, tols = _READS[command]
     argv = [command, *base]
     assert run(capsys, argv)[0] == 0
-    # FLAG=2, since real-line's suite would take a bare 2 for its path
     for flag in {"--seed", "--instances", "--max-atoms", "--max-dim"} - set(flags.split()):
         with pytest.raises(SystemExit) as exc:
             main(argv + [f"{flag}=2"])
@@ -673,16 +667,19 @@ def test_subcommand_takes_only_the_flags_and_tols_it_reads(capsys, command):
         assert run(capsys, argv + ["--tol", f"{name}=-1e9"])[0] == 1, name
 
 
-# each at its default value: a flag given with a path is refused whatever it says
-@pytest.mark.parametrize("flag, value", [("--seed", "42"), ("--instances", "100"),
-                                         ("--max-atoms", "8")])
-def test_real_line_with_a_path_takes_no_suite_flag(capsys, flag, value):
-    for argv in (["real-line", _LINE_FIXTURE, flag, value],
-                 ["real-line", flag, "3", _LINE_FIXTURE]):
-        code, out, err = run(capsys, argv)
-        assert code == 2 and out == ""
-        assert err.startswith("input error: real-line with a path runs no suite; drop ")
-        assert flag in err and err.count("\n") == 1
+# the Schur-chain and real-line suites run only as random-suite --which schur|realline
+@pytest.mark.parametrize(
+    "argv, message",
+    [(["schur-chain", "--instances", "2"], "invalid choice: 'schur-chain'"),
+     (["real-line"], "the following arguments are required: path")],
+    ids=["schur-chain", "real-line"],
+)
+def test_suite_aliases_are_gone(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert message in out.err and "Traceback" not in out.err
 
 
 @pytest.mark.parametrize(
@@ -692,9 +689,9 @@ def test_real_line_with_a_path_takes_no_suite_flag(capsys, flag, value):
         (["random-suite", "--which", "thm2", "--max-atoms", str(10**20)], "--max-atoms"),
         # fits int64, but not a numpy array of 10^11 x 10^11
         (["random-suite", "--which", "thm1", "--max-dim", str(10**11)], "--max-dim"),
-        (["schur-chain", "--max-dim", str(10**20)], "--max-dim"),
+        (["random-suite", "--which", "schur", "--max-dim", str(10**20)], "--max-dim"),
     ],
-    ids=["thm1-1e20", "thm2-1e20", "thm1-1e11", "schur-chain-1e20"],
+    ids=["thm1-1e20", "thm2-1e20", "thm1-1e11", "schur-1e20"],
 )
 def test_exit_two_on_a_size_past_numpy_arrays(capsys, argv, flag):
     code, out, err = run(capsys, argv + ["--instances", "1"])
@@ -741,6 +738,17 @@ def test_contour_overflow_is_a_numerical_error(capsys, name):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         code, out, err = run(capsys, ["verify-measure", str(DATA / f"{name}.json")])
+    assert code == 1 and out == ""
+    assert err.startswith("check failed: NumericalError: ") and err.count("\n") == 1
+    assert not caught
+
+
+def test_determinant_overflow_is_a_numerical_error(capsys):
+    # A = diag(0.5, -0.5) and phi = psi = [1e90, 1e90]: ||phi|| ||psi|| = 2e180 is
+    # finite, but the LU determinant of I + phi psi* (lam - A)^{-1} overflows
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, ["verify-system", str(DATA / "determinant_overflow_system.json")])
     assert code == 1 and out == ""
     assert err.startswith("check failed: NumericalError: ") and err.count("\n") == 1
     assert not caught

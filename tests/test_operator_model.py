@@ -13,6 +13,7 @@ from blaschke_verify.errors import (
     NonAtomicMeasure,
     NonFiniteValue,
     NotAContraction,
+    NumericalError,
     OutsideDisk,
     OutsideDomain,
     SingularResolvent,
@@ -196,6 +197,28 @@ def test_singular_resolvent_raises_without_warning(call):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(SingularResolvent):
+            call(s)
+
+
+# ||phi|| ||psi|| = 1e300 and a resolvent of norm 1e9: the solves are finite,
+# the values they give are not
+_NEAR_LAM = 1 + 1e-9
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: perturbation_determinant(s, _NEAR_LAM, "rank1"),
+        lambda s: perturbation_determinant(s, _NEAR_LAM, "lu"),
+        lambda s: eval_h_resolvent(s, 1 / _NEAR_LAM),
+    ],
+    ids=["rank1", "lu", "resolvent"],
+)
+def test_overflowing_value_raises_without_warning(call):
+    s = ContractionSystem(A=[[1.0]], phi=[1e150], psi=[1e150])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericalError, match="is not finite"):
             call(s)
 
 
