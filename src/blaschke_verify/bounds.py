@@ -273,7 +273,7 @@ def _circle_means(coeffs):
         if n > _QUAD_MAX:
             raise QuadratureNoConvergence(f"boundary mean still moving at {n // 2} nodes")
         theta = 2.0 * np.pi * np.arange(n) / n
-        h = np.polynomial.polynomial.polyval(np.exp(1j * theta), coeffs)
+        h = np.polyval(coeffs[::-1], np.exp(1j * theta))
         absh = np.abs(h)
         if n == _QUAD_BASE and float(np.min(absh)) <= 1e-8:
             raise ZeroOnBoundary(f"min |h| on the circle is {float(np.min(absh)):.3e}")

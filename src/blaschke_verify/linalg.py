@@ -19,7 +19,6 @@ import cmath
 import dataclasses
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -89,11 +88,16 @@ def schur_decompose(A) -> SchurForm:
     ------
     NoConvergence if the QR iteration stalls.
     """
+    # imported here, at scipy's one call site, so that a run which never
+    # forms a Schur form never pays scipy's start-up
+    import scipy.linalg
+
     M = as_square_matrix(A)
     if M.shape[0] == 0:
         return SchurForm(Q=M.copy(), T=M.copy())
     try:
-        T, Q = scipy.linalg.schur(M, output="complex")
+        # as_square_matrix has rejected non-finite entries already
+        T, Q = scipy.linalg.schur(M, output="complex", check_finite=False)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise NoConvergence(f"Schur iteration failed: {exc}") from exc
     return SchurForm(Q=Q, T=T)

@@ -124,12 +124,6 @@ def random_conditioned_measure(rng, max_atoms: int = 8) -> AtomicMeasure:
     raise RuntimeError("rejection sampling for conditioned measures stalled")
 
 
-def random_disk_points(rng, n: int, rmax: float = 0.9) -> np.ndarray:
-    """n points uniform in the disk of radius rmax (area measure)."""
-    r = rmax * np.sqrt(rng.random(n))
-    return r * np.exp(2j * np.pi * rng.random(n))
-
-
 def random_polynomial_with_unit_constant(rng) -> np.ndarray:
     """Ascending coefficients of h = prod (1 - w/z_j), so h(0) = 1 exactly.
 
@@ -144,7 +138,7 @@ def random_polynomial_with_unit_constant(rng) -> np.ndarray:
         else:
             mod = rng.uniform(1.2, 3.0)
         z = mod * np.exp(2j * np.pi * rng.random())
-        coeffs = np.polynomial.polynomial.polymul(coeffs, np.array([1.0, -1.0 / z]))
+        coeffs = np.convolve(coeffs, np.array([1.0, -1.0 / z]))
     return coeffs
 
 

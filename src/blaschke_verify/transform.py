@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 
 import numpy as np
-from numpy.polynomial import polynomial as P
 
 from .errors import OutsideDisk
 from .measure import AtomicMeasure
@@ -35,9 +34,6 @@ class CauchyFunction:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-
-    def __call__(self, w):
-        return eval_h(self, w)
 
 
 def _check_disk(w):
@@ -131,7 +127,7 @@ def rational_form(f: CauchyFunction) -> RationalForm:
     for fac in factors:
         prefix.append(np.convolve(prefix[-1], fac))
     Q = prefix[n]
-    S = np.zeros(max(n, 1), dtype=complex)
+    S = np.zeros(n + 1, dtype=complex)
     for j in range(n):
         # Q without factor j, multiplied left to right like Q itself: floating
         # point products do not associate, so any other order (one product
@@ -140,20 +136,16 @@ def rational_form(f: CauchyFunction) -> RationalForm:
         part = prefix[j]
         for fac in factors[j + 1:]:
             part = np.convolve(part, fac)
-        S = P.polyadd(S, mu.weights[j] * part)
-    KQ = P.polyadd(S, mu.lebesgue * Q)  # numerator of K mu over Q
+        S[:n] += mu.weights[j] * part
+    KQ = S + mu.lebesgue * Q  # numerator of K mu over Q
     if f.mode == "direct":
         num = KQ
     else:
-        num = P.polyadd(Q, P.polymul(np.array([0.0, 1.0]), KQ))
-    num = np.asarray(num, dtype=complex)
-    if num.size:
-        top = np.max(np.abs(num))
-        if top > 0:
-            keep = num.size
-            while keep > 1 and abs(num[keep - 1]) <= COEFF_TRIM_REL * top:
-                keep -= 1
-            num = num[:keep]
-        else:
-            num = np.zeros(1, dtype=complex)
-    return RationalForm(numerator=num)
+        num = np.append(Q, 0) + np.append(0, KQ)
+    top = np.max(np.abs(num))
+    if top > 0:
+        keep = num.size
+        while keep > 1 and abs(num[keep - 1]) <= COEFF_TRIM_REL * top:
+            keep -= 1
+        return RationalForm(numerator=num[:keep])
+    return RationalForm(numerator=np.zeros(1, dtype=complex))

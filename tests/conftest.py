@@ -4,6 +4,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from blaschke_verify.errors import InputError
 from blaschke_verify.measure import AtomicMeasure, measure_from_jsonable
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -29,6 +30,18 @@ def double_zero_measure() -> AtomicMeasure:
 def real_line_fixture() -> dict:
     with open(DATA / "real_line_fixture.json") as fh:
         return json.load(fh)
+
+
+def data_measures():
+    """Every measure stored under tests/data, in file order."""
+    for path in sorted(DATA.glob("*.json")):
+        with open(path) as fh:
+            obj = json.load(fh)
+        for m in obj.get("measures", [obj]):
+            try:
+                yield measure_from_jsonable(m)
+            except InputError:  # a system or real-line file
+                pass
 
 
 def random_measure_simple(rng, natoms):

@@ -37,7 +37,6 @@ from blaschke_verify.random_instances import (
     complex_gaussian,
     random_conditioned_measure,
     random_contraction,
-    random_disk_points,
     random_lowrank_pair,
     random_polynomial_with_unit_constant,
     random_real_line_atoms,
@@ -251,6 +250,12 @@ def test_criterion_8_real_line(real_line_fixture):
     elapsed = time.perf_counter() - t0
     ok = elapsed < 10.0
     report_line(8, "real-line variant", ok, f"fixture slack={rep.slack:.3e}, {elapsed:.1f} s")
+
+
+def random_disk_points(rng, n: int, rmax: float = 0.9) -> np.ndarray:
+    """n points uniform in the disk of radius rmax (area measure)."""
+    r = rmax * np.sqrt(rng.random(n))
+    return r * np.exp(2j * np.pi * rng.random(n))
 
 
 def test_criterion_9_measure_calculus():

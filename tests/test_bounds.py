@@ -343,13 +343,13 @@ def test_jensen_means_match_three_pass_loop(modulus, angle):
 
 def test_jensen_samples_h_once_per_rule(monkeypatch):
     sizes = []
-    polyval = np.polynomial.polynomial.polyval
+    polyval = np.polyval
 
-    def counting(x, c):
+    def counting(p, x):
         sizes.append(np.size(x))
-        return polyval(x, c)
+        return polyval(p, x)
 
-    monkeypatch.setattr(np.polynomial.polynomial, "polyval", counting)
+    monkeypatch.setattr(np, "polyval", counting)
     check_jensen_h1(_near_circle_polynomial(0.9999, 2.0))
     # probe and all three means share the samples: 4096, 8192, ..., 131072
     assert sizes == [4096 * 2**k for k in range(6)]

@@ -564,6 +564,20 @@ def test_cli_runs_do_not_import_scipy_optimize():
     assert done.stdout == "[0, 0] False\n"
 
 
+def test_scipy_linalg_is_imported_on_the_first_schur_form():
+    script = (
+        "import sys\n"
+        "import blaschke_verify.cli\n"
+        "before = 'scipy.linalg' in sys.modules\n"
+        "from blaschke_verify.linalg import schur_decompose\n"
+        "schur_decompose([[1.0, 2.0], [0.0, 3.0]])\n"
+        "print(before, 'scipy.linalg' in sys.modules)\n"
+    )
+    done = _fresh_interpreter(["-c", script])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False True\n"
+
+
 def test_passing_instances_build_no_replay_payload(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("payload built for a passing instance")

@@ -5,9 +5,13 @@ oracle a discrete contour integral at radius 1/2, and the rational form is
 cross-evaluated against the atom-sum definition at random disk points.
 """
 
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 
+import blaschke_verify
 from blaschke_verify.errors import OutsideDisk
 from blaschke_verify.measure import AtomicMeasure, dirac
 from blaschke_verify.transform import (
@@ -18,10 +22,10 @@ from blaschke_verify.transform import (
     taylor_moment,
 )
 
-from blaschke_verify.random_instances import random_atomic_measure, spawn_rng
+from blaschke_verify.random_instances import complex_gaussian, random_atomic_measure, spawn_rng
 from blaschke_verify.zeros import _h_and_deriv_continuation
 
-from conftest import random_measure_simple
+from conftest import data_measures, random_measure_simple
 
 
 def disk_points(rng, n, rmax=0.95):
@@ -67,7 +71,7 @@ def test_direct_mode_is_K():
     mu = random_measure_simple(rng, 4)
     f = CauchyFunction(source=mu, mode="direct")
     w = disk_points(rng, 30)
-    assert np.allclose(f(w), eval_K(mu, w))
+    assert np.allclose(eval_h(f, w), eval_K(mu, w))
 
 
 def test_eval_rejects_outside_disk():
@@ -123,12 +127,14 @@ def test_rational_form_matches_eval():
             rf = rational_form(f)
             num = np.polyval(rf.numerator[::-1], w)
             den = np.prod(1.0 - w[:, None] * np.conj(mu.points), axis=-1)
-            scale = np.maximum(1.0, np.abs(f(w)))
-            assert np.max(np.abs(num / den - f(w)) / scale) < 1e-10
+            scale = np.maximum(1.0, np.abs(eval_h(f, w)))
+            assert np.max(np.abs(num / den - eval_h(f, w)) / scale) < 1e-10
 
 
 def _reference_numerator(f):
-    """The former rational_form: every partial product formed afresh."""
+    """The former rational_form: every partial product formed afresh and
+    summed with numpy.polynomial's series helpers, which drop exact trailing
+    zeros at every step."""
     from numpy.polynomial import polynomial as P
 
     from blaschke_verify.transform import COEFF_TRIM_REL
@@ -172,7 +178,15 @@ def _bit_identity_measures():
         yield random_atomic_measure(spawn_rng(2011, n), max_atoms=n, min_atoms=n)
     axes = (1.0, 1j, -1.0, -1j)
     yield AtomicMeasure(axes, (1, 1j, -1, 0.5), lebesgue=-0.25j)
+    # the numerator of this one is exactly zero in direct mode
     yield AtomicMeasure([1.0, -1.0], [1.0, -1.0])
+    yield from data_measures()
+    # 500 draws of 1 to 12 atoms, half of them with a Lebesgue part
+    for i in range(500):
+        mu = random_atomic_measure(spawn_rng(2012, i), max_atoms=12)
+        if i % 2:
+            mu = AtomicMeasure(mu.points, mu.weights, lebesgue=complex_gaussian(rng))
+        yield mu
 
 
 def test_rational_form_bytes_match_the_former_product_loop():
@@ -186,6 +200,31 @@ def test_rational_form_bytes_match_the_former_product_loop():
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (
                 mu.natoms, mode,
             )
+
+
+def _numpy_polynomial_uses(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names if a.name.startswith("numpy.polynomial"))
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.polynomial"):
+                yield node.module
+            elif node.module == "numpy":
+                yield from (a.name for a in node.names if a.name == "polynomial")
+        elif (isinstance(node, ast.Attribute) and node.attr == "polynomial"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            yield f"{node.value.id}.polynomial"
+
+
+def test_no_module_uses_numpy_polynomial():
+    # the numerator is assembled in plain arrays under one trim rule; the
+    # series helpers would add a second one, dropping exact trailing zeros
+    uses = {}
+    for path in sorted(pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")):
+        found = sorted(set(_numpy_polynomial_uses(ast.parse(path.read_text()))))
+        if found:
+            uses[path.name] = found
+    assert uses == {}
 
 
 def test_rational_form_shifted_constant_coeff_is_one():

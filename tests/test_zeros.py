@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from blaschke_verify import linalg
-from blaschke_verify.errors import BlaschkeVerifyError, InputError, NonIntegerWinding, NumericalError
+from blaschke_verify.errors import BlaschkeVerifyError, NonIntegerWinding, NumericalError
 from blaschke_verify.measure import (
     AtomicMeasure,
     dirac,
@@ -26,7 +26,7 @@ from blaschke_verify.measure import (
 )
 from blaschke_verify.operator_model import build_system_from_measure
 from blaschke_verify.random_instances import random_conditioned_measure, spawn_rng
-from blaschke_verify.transform import CauchyFunction
+from blaschke_verify.transform import CauchyFunction, eval_h
 from blaschke_verify.zeros import (
     METHOD_ARG,
     PAIRING_TOL,
@@ -39,7 +39,7 @@ from blaschke_verify.zeros import (
 )
 from blaschke_verify import zeros as zeros_mod
 
-from conftest import DATA
+from conftest import DATA, data_measures
 
 
 def shifted(mu):
@@ -548,7 +548,7 @@ def test_guard_sees_nodes_new_at_second_level():
     theta = 2.0 * np.pi * np.arange(1, 2048, 2) / 2048
     center = -0.5 - rho * np.exp(1j * theta[0])
     first = center + rho * np.exp(2j * np.pi * np.arange(1024) / 1024)
-    h1 = np.abs(f(first))
+    h1 = np.abs(eval_h(f, first))
     assert h1.min() > zeros_mod._GUARD_REL * h1.max()  # level one alone passes
     for contour in (zeros_mod._contour_moments, _reference_contour_moments):
         with pytest.raises(zeros_mod._NearZeroContour):
@@ -925,20 +925,9 @@ def _reached(call) -> set:
     return seen
 
 
-def _data_measures():
-    for path in sorted(DATA.glob("*.json")):
-        with open(path) as fh:
-            obj = json.load(fh)
-        for m in obj.get("measures", [obj]):
-            try:
-                yield measure_from_jsonable(m)
-            except InputError:  # a system or real-line file
-                pass
-
-
 def test_routes_share_only_the_eigensolver():
     reached = [set(), set(), set()]
-    for mu in _data_measures():
+    for mu in data_measures():
         for mode in ("shifted", "direct"):
             f = CauchyFunction(source=mu, mode=mode)
             sigma = mu if mode == "shifted" else shift_measure(mu)
