@@ -219,14 +219,12 @@ def _agreement_report(name, a: ZeroSet, b: ZeroSet, tol: float) -> BoundReport:
 def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):
     """Reports comparing the three zero-finding routes on one function.
 
-    sigma is the shifted-mode representative driving the eigenvalue route
-    (None when the transform has no atoms to model).
+    sigma is the shifted-mode representative driving the eigenvalue route.
     """
     reports = []
     roots = zeros_via_numerator_roots(f)
-    if sigma is not None and sigma.natoms:
-        eig = zeros_via_L(build_system_from_measure(sigma))
-        reports.append(_agreement_report("zeros-eigenvalue-vs-roots", eig, roots, tol))
+    eig = zeros_via_L(build_system_from_measure(sigma))
+    reports.append(_agreement_report("zeros-eigenvalue-vs-roots", eig, roots, tol))
     arg = zeros_via_argument_principle(f, radius=CONTOUR_CAP)
     reports.append(_agreement_report("zeros-contour-vs-roots", arg, roots.within(arg.radius), tol))
     return reports

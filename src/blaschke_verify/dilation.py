@@ -205,14 +205,9 @@ def roundtrip_report(s: ContractionSystem, d: DilationResult, taylor_tol: float)
     # the reflected measure's transform is the backward shift of h~: check the
     # defining identity h~(w) = 1 + w K(refl)(w) at a few interior points
     probes = np.array([0.31 + 0.4j, -0.55 - 0.2j, 0.05 + 0.85j, -0.7 + 0.1j])
-    if mu.natoms:
-        direct = 1.0 + probes * np.array(
-            [np.sum(mu.weights / (1.0 - w * mu.points)) for w in probes]
-        )
-        via_refl = 1.0 + probes * np.array([eval_K(refl, w) for w in probes])
-        shift_err = float(np.max(np.abs(direct - via_refl)))
-    else:
-        shift_err = 0.0
+    direct = 1.0 + probes * np.array([np.sum(mu.weights / (1.0 - w * mu.points)) for w in probes])
+    via_refl = 1.0 + probes * np.array([eval_K(refl, w) for w in probes])
+    shift_err = float(np.max(np.abs(direct - via_refl)))
     if shift_err > 1e-10:
         raise DilationError(f"reflected-measure representation off by {shift_err:.3e}")
     return BoundReport(

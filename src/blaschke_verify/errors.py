@@ -32,10 +32,6 @@ class NonAtomicMeasure(InputError):
     """Operation requires a purely atomic measure but lebesgue != 0."""
 
 
-class EmptyMeasure(InputError):
-    """Operation requires at least one atom."""
-
-
 class NotNormalized(InputError):
     """Measure mass (or weight sum) must equal 1 for this check."""
 

@@ -132,8 +132,7 @@ class AtomicMeasure:
 
     def mass(self) -> complex:
         """mu(T) = sum of weights + lebesgue coefficient."""
-        total = np.sum(self.weights) + self.lebesgue if self.natoms else self.lebesgue
-        return complex(total)
+        return complex(np.sum(self.weights) + self.lebesgue)
 
     def conjugate(self) -> "AtomicMeasure":
         """The measure with conjugated weights at conjugated atoms."""
@@ -171,7 +170,7 @@ def inverse_shift(sigma: AtomicMeasure, h0: complex) -> AtomicMeasure:
     only sigma's atoms enter; the identity above is exact whenever
     sigma.lebesgue = 0, which holds for every output of shift_measure.
     """
-    c_sigma = complex(np.sum(sigma.points * sigma.weights)) if sigma.natoms else 0.0
+    c_sigma = complex(np.sum(sigma.points * sigma.weights))
     return AtomicMeasure(
         sigma.points, _product(sigma.weights, sigma.points), complex(h0) - c_sigma
     )

@@ -28,7 +28,6 @@ from .codec import (
 )
 from .errors import (
     DimensionMismatch,
-    EmptyMeasure,
     NonAtomicMeasure,
     NonFiniteValue,
     NotAContraction,
@@ -89,12 +88,11 @@ def build_system_from_measure(sigma: AtomicMeasure) -> ContractionSystem:
 
     The sqrt|c_j| scaling converts the weighted inner product of
     L^2(d|sigma|) into the standard one, so <(I-wA)^{-1}phi,psi> = (K sigma)(w)
-    and ||phi||*||psi|| = total variation of sigma.  A is unitary diagonal.
+    and ||phi||*||psi|| = total variation of sigma.  A is unitary diagonal;
+    the empty measure gives the 0 x 0 system, whose h is 1.
     """
     if sigma.lebesgue != 0:
         raise NonAtomicMeasure("operator model needs a purely atomic measure")
-    if sigma.natoms == 0:
-        raise EmptyMeasure("operator model needs at least one atom")
     phi, psi = rank_one_factors(sigma.weights)
     return ContractionSystem(A=np.diag(np.conj(sigma.points)), phi=phi, psi=psi)
 

@@ -10,13 +10,14 @@ Distribution choices, fixed here so results are comparable across runs:
 contractions are i.i.d. complex Gaussian matrices rescaled by u/||G|| with u
 uniform in (0, 1]; atom points are uniform on the circle (resampled if two
 land within 1e-3 of each other); weights are complex Gaussians clipped to
-modulus 5.
+modulus 5.  A rejection sampler that gives up raises NumericalError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import NumericalError
 from .linalg import operator_norm, polynomial_roots
 from .measure import AtomicMeasure
 from .operator_model import ContractionSystem
@@ -46,12 +47,10 @@ def random_unit_points(rng, n: int) -> np.ndarray:
     """n points uniform on the circle, pairwise at least MIN_POINT_SEPARATION apart."""
     for _ in range(200):
         pts = np.exp(2j * np.pi * rng.random(n))
-        if n == 1:
-            return pts
         d = np.abs(pts[:, None] - pts[None, :]) + 2.0 * np.eye(n)
         if float(np.min(d)) >= MIN_POINT_SEPARATION:
             return pts
-    raise RuntimeError("could not draw well-separated circle points")
+    raise NumericalError(f"could not draw well-separated circle points ({n} atoms)")
 
 
 def random_weights(rng, n: int) -> np.ndarray:
@@ -71,8 +70,6 @@ def random_atomic_measure(rng, max_atoms: int = 8, min_atoms: int = 1) -> Atomic
 
 def random_contraction(rng, n: int) -> np.ndarray:
     """u/||G||-scaled complex Gaussian; operator norm uniform in (0, 1]."""
-    if n == 0:
-        return np.zeros((0, 0), dtype=complex)
     G = complex_gaussian(rng, (n, n))
     nrm = operator_norm(G)
     if nrm == 0:
@@ -121,7 +118,9 @@ def random_conditioned_measure(rng, max_atoms: int = 8) -> AtomicMeasure:
             if float(np.min(d)) < 1e-5:
                 continue
         return mu
-    raise RuntimeError("rejection sampling for conditioned measures stalled")
+    raise NumericalError(
+        f"rejection sampling for conditioned measures stalled (up to {max_atoms} atoms)"
+    )
 
 
 def random_polynomial_with_unit_constant(rng) -> np.ndarray:
@@ -155,4 +154,4 @@ def random_real_line_atoms(rng, max_atoms: int = 6):
             continue
         c = c / tot
         return [(float(sj), complex(cj)) for sj, cj in zip(s, c)]
-    raise RuntimeError("rejection sampling for line atoms stalled")
+    raise NumericalError(f"rejection sampling for line atoms stalled (up to {max_atoms} atoms)")

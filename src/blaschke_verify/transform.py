@@ -46,17 +46,12 @@ def _check_disk(w):
 
 
 def _K_values(mu: AtomicMeasure, warr: np.ndarray) -> np.ndarray:
-    if mu.natoms:
-        vals = np.sum(mu.weights / (1.0 - warr[..., None] * np.conj(mu.points)), axis=-1)
-    else:
-        vals = np.zeros(warr.shape, dtype=complex)
+    vals = np.sum(mu.weights / (1.0 - warr[..., None] * np.conj(mu.points)), axis=-1)
     return vals + mu.lebesgue
 
 
 def _K_derivative(mu: AtomicMeasure, warr: np.ndarray) -> np.ndarray:
     # d/dw [c/(1-w zbar)] = c zbar/(1-w zbar)^2
-    if not mu.natoms:
-        return np.zeros(warr.shape, dtype=complex)
     zbar = np.conj(mu.points)
     return np.sum(mu.weights * zbar / (1.0 - warr[..., None] * zbar) ** 2, axis=-1)
 
@@ -88,10 +83,10 @@ def taylor_moment(mu: AtomicMeasure, n: int) -> complex:
     """n-th Taylor coefficient of K mu: sum_j c_j conj(zeta_j)^n, + lebesgue at n=0."""
     if n < 0:
         raise ValueError("moment index must be >= 0")
-    acc = complex(np.sum(mu.weights * np.conj(mu.points) ** n)) if mu.natoms else 0.0
+    acc = complex(np.sum(mu.weights * np.conj(mu.points) ** n))
     if n == 0:
         acc += mu.lebesgue
-    return complex(acc)
+    return acc
 
 
 @dataclasses.dataclass(frozen=True)

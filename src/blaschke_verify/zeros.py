@@ -295,10 +295,9 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
     bits of the moments away from those of the unnested rule.
     """
     poles = f.source.points
-    if poles.size:
-        clearance = np.abs(np.abs(poles - center) - rho)
-        if float(clearance.min()) < _POLE_CLEARANCE_REL * rho:
-            raise _NearZeroContour
+    clearance = np.abs(np.abs(poles - center) - rho)
+    if float(np.min(clearance, initial=np.inf)) < _POLE_CLEARANCE_REL * rho:
+        raise _NearZeroContour
     n = _BASE_NODES
     k = None
     settled_at = None
@@ -315,11 +314,7 @@ def _contour_moments(f: CauchyFunction, center: complex, rho: float):
         amin = min(amin, float(np.min(ah)))
         if amax == 0.0 or amin <= _GUARD_REL * amax:
             raise _NearZeroContour
-        logd_new = hp / h
-        if poles.size:
-            logd_new = logd_new + np.sum(
-                1.0 / (w_new[:, None] - poles[None, :]), axis=1
-            )
+        logd_new = hp / h + np.sum(1.0 / (w_new[:, None] - poles[None, :]), axis=1)
         if e is None:
             e, w, logd = e_new, w_new, logd_new
         else:

@@ -64,6 +64,25 @@ def test_verify_measure_direct_mode(capsys, data_dir):
     assert "direct-transform-zero-bound" in names
 
 
+@pytest.mark.parametrize(
+    "obj, mode",
+    [
+        ({"atoms": []}, "shifted"),
+        ({"atoms": [], "lebesgue": {"re": 1.0, "im": 0.0}}, "direct"),
+    ],
+)
+def test_atomless_measure_gets_every_row(capsys, tmp_path, obj, mode):
+    # h is constant: the three routes agree on no zeros, through the 0 x 0 model
+    path = tmp_path / "atomless.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, ["verify-measure", str(path), "--mode", mode])
+    assert code == 0
+    rows = json.loads(out)["reports"]
+    assert [r["name"] for r in rows[1:]] == ["zeros-eigenvalue-vs-roots", "zeros-contour-vs-roots"]
+    assert all(r["pass"] for r in rows)
+    assert rows[1]["lhs"] == 0.0 and rows[1]["details"]["counts"] == [0, 0]
+
+
 def test_contour_and_roots_agree_at_the_certified_radius(capsys, data_dir):
     # direct_with_zeros([0.9990001 e^{0.7i}, 0.2 + 0.1i, -0.3 + 0.4i],
     # [1, i, -1]) scaled to unit mass: the top contour is nudged outward past
@@ -547,6 +566,20 @@ def test_failed_instance_dumped_to_stderr(capsys):
     assert len(dumps) == 2
     assert dumps[0]["seed"] == 3
     assert "instance" in dumps[0]
+
+
+def test_sampler_that_gives_up_is_an_instance_error(capsys):
+    # at 400 atoms, the first draw of seed 42 cannot keep its 199 points 1e-3
+    # apart: the instance fails with a row and a dump, not a traceback
+    code, out, err = run(
+        capsys, ["random-suite", "--which", "thm2", "--max-atoms", "400", "--instances", "1"]
+    )
+    assert code == 1
+    (row,) = json.loads(out)["reports"]
+    assert row["name"] == "thm2-instance-error" and not row["pass"]
+    assert row["details"]["error"] == "could not draw well-separated circle points (199 atoms)"
+    assert json.loads(err)["instance"] == {"error": row["details"]["error"]}
+    assert "Traceback" not in err
 
 
 def test_cli_runs_do_not_import_scipy_optimize():

@@ -159,6 +159,18 @@ def test_roundtrip_random():
         assert rep.details["reflection_residual"] < 1e-10
 
 
+def test_roundtrip_of_phi_zero_extracts_the_empty_measure():
+    # every spectral weight <P_k phi, psi> is 0, so no atom survives and the
+    # reflection identity holds with nothing to sum
+    s = random_sys(46, 3)
+    s = ContractionSystem(A=s.A, phi=np.zeros(3, dtype=complex), psi=s.psi)
+    rep = roundtrip_check(s, 4)
+    assert rep.details["n_atoms"] == 0
+    assert rep.details["reflection_residual"] == 0.0
+    assert rep.details["taylor_errors"] == [0.0] * 6
+    assert rep.passed and rep.lhs == rep.rhs == 0.0
+
+
 def test_roundtrip_reads_the_powers_dilate_kept():
     # the compression gate forms A^0..A^N once; the round trip reads them
     s = random_sys(45, 3)

@@ -9,7 +9,6 @@ import blaschke_verify
 
 from blaschke_verify.errors import (
     DimensionMismatch,
-    EmptyMeasure,
     NonAtomicMeasure,
     NonFiniteValue,
     NotAContraction,
@@ -18,7 +17,8 @@ from blaschke_verify.errors import (
     OutsideDomain,
     SingularResolvent,
 )
-from blaschke_verify.measure import AtomicMeasure, dirac
+from blaschke_verify.bounds import check_theorem2
+from blaschke_verify.measure import AtomicMeasure, dirac, inverse_shift, shift_measure
 from blaschke_verify.operator_model import (
     ContractionSystem,
     build_L,
@@ -30,7 +30,8 @@ from blaschke_verify.operator_model import (
     system_from_jsonable,
     system_to_jsonable,
 )
-from blaschke_verify.transform import CauchyFunction, eval_h
+from blaschke_verify.transform import CauchyFunction, eval_h, eval_K, taylor_moment
+from blaschke_verify.zeros import METHOD_L, ZeroSet, zeros_via_L
 
 from conftest import random_measure_simple
 
@@ -103,8 +104,44 @@ def test_build_system_from_measure_structure():
     assert np.allclose(s.A, np.diag(np.conj(mu.points)))
     assert np.allclose(np.abs(s.phi) ** 2, np.abs(mu.weights))
     assert np.allclose(s.phi * np.conj(s.psi), mu.weights)
-    with pytest.raises(EmptyMeasure):
-        build_system_from_measure(AtomicMeasure())
+    # the empty measure is the n = 0 case: a 0 x 0 system with h = 1
+    s = build_system_from_measure(AtomicMeasure())
+    assert s.A.shape == (0, 0) and s.phi.shape == s.psi.shape == (0,)
+    assert s.norm_product() == 0.0
+
+
+@pytest.mark.parametrize("lebesgue", [0.0, 0.5 - 0.25j])
+def test_the_empty_measure_takes_the_general_path(lebesgue):
+    """With no atoms, K mu is the constant lebesgue, and the shifted h, the
+    operator model and the zero bound see no zeros."""
+    mu = AtomicMeasure(lebesgue=lebesgue)
+    w = np.array([[0.0, 0.3 - 0.4j], [-0.9j, 0.5]])
+    assert eval_K(mu, 0.2j) == lebesgue
+    assert np.array_equal(eval_K(mu, w), np.full(w.shape, lebesgue, dtype=complex))
+    direct, shifted = CauchyFunction(mu, mode="direct"), CauchyFunction(mu, mode="shifted")
+    assert eval_h(direct, 0.2j) == lebesgue
+    assert np.array_equal(eval_h(direct, w), np.full(w.shape, lebesgue, dtype=complex))
+    assert eval_h(shifted, 0.2j) == 1.0 + 0.2j * lebesgue
+    assert np.array_equal(eval_h(shifted, w), 1.0 + w * lebesgue)
+    assert taylor_moment(mu, 0) == lebesgue and taylor_moment(mu, 3) == 0
+    assert mu.mass() == lebesgue
+    assert inverse_shift(mu, 0.7 + 0.1j) == AtomicMeasure(lebesgue=0.7 + 0.1j)
+    if lebesgue:
+        with pytest.raises(NonAtomicMeasure):
+            check_theorem2(mu)
+    else:
+        assert check_theorem2(mu).to_jsonable() == {
+            "name": "shifted-transform-zero-bound",
+            "lhs": 0.0,
+            "rhs": 0.0,
+            "slack": 0.0,
+            "tol": 1e-7,
+            "pass": True,
+            "details": {"zeros": [], "rhs_kind": "total variation surrogate"},
+        }
+    # the atomic part, as verify-measure models it in direct mode
+    s = build_system_from_measure(shift_measure(mu))
+    assert zeros_via_L(s) == ZeroSet(zeros=(), method=METHOD_L)
 
 
 def test_resolvent_h_equals_transform_h():
