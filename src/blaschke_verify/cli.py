@@ -66,6 +66,7 @@ from .zeros import (
     PAIRING_TOL,
     ZeroSet,
     match_zero_sets,
+    unpaired_zeros,
     zeros_via_argument_principle,
     zeros_via_L,
     zeros_via_numerator_roots,
@@ -200,20 +201,17 @@ def _with_detail(report: BoundReport, **extra) -> BoundReport:
 
 
 def _agreement_report(name, a: ZeroSet, b: ZeroSet, tol: float) -> BoundReport:
-    matched, worst = match_zero_sets(a, b, tol=tol)
-    # unmatched but with worst <= tol (multiplicities differ) or inf (counts do)
-    lhs = worst if matched or tol < worst < math.inf else tol + 1.0
-    return BoundReport(
-        name=name,
-        lhs=lhs,
-        rhs=tol,
-        tol=0.0,
-        details={
-            "methods": [a.method, b.method],
-            "counts": [a.count, b.count],
-            "matched": matched,
-        },
-    )
+    matched, lhs = match_zero_sets(a, b, tol=tol)
+    details = {"methods": [a.method, b.method], "counts": [a.count, b.count], "matched": matched}
+    if not matched:
+        sides = unpaired_zeros(a, b, tol)
+        details["unpaired"] = [[{"re": z.real, "im": z.imag, "multiplicity": m}
+                                for z, m, _ in side] for side in sides]
+        # lhs: the farthest unpaired zero.  If none is unpaired (the counts or
+        # multiplicities differ with every zero within tol) or the other set is
+        # empty, no distance fails the row, and the sentinel tol + 1.0 does.
+        lhs = max((d for side in sides for _, _, d in side if d < math.inf), default=tol + 1.0)
+    return BoundReport(name=name, lhs=lhs, rhs=tol, tol=0.0, details=details)
 
 
 def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):

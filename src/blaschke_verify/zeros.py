@@ -87,76 +87,48 @@ def blaschke_sum(z: ZeroSet) -> float:
     return float(sum(m * (1.0 / abs(loc) - 1.0) for loc, m in z.zeros))
 
 
-def _min_cost_assignment(cost: np.ndarray) -> list:
-    """Columns cols of a minimum-sum assignment of the square cost matrix:
-    row i takes column cols[i].
-
-    Kuhn-Munkres (Kuhn 1955; Munkres 1957) with shortest augmenting paths
-    and row and column potentials u, v, O(k^3).  Each row takes its minimum
-    unless an earlier row took that column; when none collide this is
-    optimal, as no permutation sums below the row minima.  Otherwise, from
-    u = the row minima and v = 0, each row left over is joined by a Dijkstra
-    search on the reduced costs cost - u - v >= 0 (0 on assigned pairs) to
-    the nearest free column; the potentials then shift so that the path is
-    tight, and the assignment is flipped along it.
-    """
-    k = cost.shape[0]
-    cols, rows = cost.argmin(axis=1).tolist(), [-1] * k
-    for i, j in enumerate(cols):
-        if rows[j] < 0:
-            rows[j] = i
-    left = [i for i, j in enumerate(cols) if rows[j] != i]
-    if not left:
-        return cols
-    cols, rows = np.array(cols), np.array(rows)
-    cols[left] = -1
-    u, v = cost.min(axis=1), np.zeros(k)
-    for i in left:
-        dist = cost[i] - u[i] - v  # shortest reduced path from row i to each column
-        via = np.full(k, i)  # the row just before each column on that path
-        done = np.zeros(k, dtype=bool)
-        while True:
-            j = int(np.where(done, np.inf, dist).argmin())
-            done[j] = True
-            if rows[j] < 0:
-                break
-            r = rows[j]
-            step = dist[j] + cost[r] - u[r] - v
-            closer = ~done & (step < dist)
-            dist[closer], via[closer] = step[closer], r
-        seen = np.flatnonzero(done)
-        shift = dist[j] - dist[seen]
-        v[seen] -= shift
-        u[i] += dist[j]
-        held = rows[seen] >= 0  # every seen column but the free one j
-        u[rows[seen[held]]] += shift[held]
-        while j >= 0:  # row i has no column, so the flip stops there
-            r = via[j]
-            rows[j], cols[r], j = r, j, cols[r]
-    return cols.tolist()
+def _distances(a: ZeroSet, b: ZeroSet) -> np.ndarray:
+    """|a_i - b_j| between the distinct zeros of a (rows) and of b (columns)."""
+    za, zb = (np.array([z for z, _ in s.zeros], dtype=complex) for s in (a, b))
+    return np.abs(za[:, None] - zb[None, :])
 
 
 def match_zero_sets(a: ZeroSet, b: ZeroSet, tol: float = PAIRING_TOL):
-    """Optimal 1-1 pairing of two zero sets.
+    """Pair each zero of a with its nearest zero of b.
 
-    The pairing is a minimum-sum assignment on the distances between zeros
-    (Kuhn-Munkres, _min_cost_assignment).  Returns (matched, worst_distance):
-    matched is True when both sets have the same number of zeros, the
-    assignment puts every pair within tol, and the paired multiplicities
-    agree.  worst_distance is the largest paired distance (0.0 for two empty
-    sets, inf when the counts differ).
+    Returns (matched, worst).  matched: the sets have the same number of
+    distinct zeros and the same count, the nearest-neighbour map (the row
+    argmin of the distances) is a bijection, every row minimum is <= tol,
+    and the paired multiplicities agree.  worst: the largest row minimum
+    (0.0 for two empty sets, inf when the counts differ).
+
+    Never looser than a minimum-sum assignment.  No permutation sums below
+    the row minima, so a bijective argmin is an optimal assignment: a match
+    here is one there, with the same worst.  Conversely let an optimal p
+    pair every a_i within tol of b_p(i).  If the argmin map is no bijection,
+    two zeros a_i, a_k share their nearest b_j, and |a_i - a_k| <=
+    |a_i - b_p(i)| + |a_k - b_p(k)| <= 2*tol; if it is a bijection other
+    than p, both sum to the row minima, so some a_i is nearest to two zeros
+    of b, within 2*tol of each other.  So only a set holding two zeros
+    within 2*tol can split the verdicts, and then this one is no match.
     """
     if len(a.zeros) != len(b.zeros) or a.count != b.count:
         return False, math.inf
     if not a.zeros:
         return True, 0.0
-    za = np.array([z for z, _ in a.zeros])
-    zb = np.array([z for z, _ in b.zeros])
-    cost = np.abs(za[:, None] - zb[None, :])
-    cols = _min_cost_assignment(cost)
-    worst = float(cost[np.arange(len(cols)), cols].max())
-    mults_ok = all(a.zeros[i][1] == b.zeros[j][1] for i, j in enumerate(cols))
-    return (worst <= tol and mults_ok), worst
+    cost = _distances(a, b)
+    cols = cost.argmin(axis=1).tolist()
+    worst = float(cost.min(axis=1).max())
+    mults_ok = all(m == b.zeros[j][1] for (_, m), j in zip(a.zeros, cols))
+    return (len(set(cols)) == len(cols) and worst <= tol and mults_ok), worst
+
+
+def unpaired_zeros(a: ZeroSet, b: ZeroSet, tol: float):
+    """For a and for b, (zero, multiplicity, distance) of each zero whose
+    nearest zero in the other set is farther than tol (inf if that is empty)."""
+    cost = _distances(a, b)
+    return [[(z, m, float(d)) for (z, m), d in zip(s.zeros, cost.min(axis=k, initial=math.inf))
+             if d > tol] for s, k in ((a, 1), (b, 0))]
 
 
 def zeros_via_L(s: ContractionSystem, cluster_tol: float = DEFAULT_CLUSTER_TOL) -> ZeroSet:

@@ -16,6 +16,7 @@ import blaschke_verify
 from blaschke_verify import cli
 from blaschke_verify.cli import main
 from blaschke_verify.linalg import NumericalRangeSupport
+from blaschke_verify.zeros import ZeroSet
 
 from conftest import DATA
 
@@ -96,6 +97,29 @@ def test_contour_and_roots_agree_at_the_certified_radius(capsys, data_dir):
     reports = {r["name"]: r for r in json.loads(out)["reports"]}
     contour = reports["zeros-contour-vs-roots"]
     assert contour["pass"] and contour["details"]["counts"] == [3, 3]
+
+
+def test_agreement_report_names_the_unpaired_zeros():
+    tol = cli.PAIRING_TOL
+
+    def row(a, b):
+        return cli._agreement_report("agree", ZeroSet(a, "a"), ZeroSet(b, "b"), tol).to_jsonable()
+
+    # counts differ: lhs is the distance from the far zero to the other set
+    far = row(((0.1 + 0j, 1), (0.5 + 0j, 1)), ((0.1 + 1e-9 + 0j, 1),))
+    assert far["lhs"] == abs(0.5 - (0.1 + 1e-9)) and not far["pass"]
+    assert far["details"]["unpaired"] == [[{"re": 0.5, "im": 0.0, "multiplicity": 1}], []]
+    # a double zero against two simple zeros 1.5e-7 apart: every zero lies
+    # within tol of the other set, so only the sentinel fails the row
+    split = row(((0.3 + 0j, 2),), ((0.3 - 0.75e-7 + 0j, 1), (0.3 + 0.75e-7 + 0j, 1)))
+    assert split["lhs"] == tol + 1.0 and not split["pass"]
+    assert split["details"]["unpaired"] == [[], []]
+    # an empty other set gives no distance: the sentinel, the zero listed
+    alone = row(((0.5j, 1),), ())
+    assert alone["lhs"] == tol + 1.0 and not alone["pass"]
+    assert alone["details"]["unpaired"] == [[{"re": 0.0, "im": 0.5, "multiplicity": 1}], []]
+    matched = row(((0.5 + 0j, 1),), ((0.5 + 1e-9 + 0j, 1),))
+    assert matched["pass"] and set(matched["details"]) == {"methods", "counts", "matched"}
 
 
 def test_output_is_byte_deterministic(capsys):
