@@ -56,6 +56,7 @@ class BoundReport:
     rhs: float
     tol: float
     details: dict = dataclasses.field(default_factory=dict)
+    zeros: ZeroSet | None = None  # a zero bound's set, whose Blaschke sum is lhs; not emitted
 
     def __post_init__(self):
         object.__setattr__(self, "lhs", float(self.lhs))
@@ -90,10 +91,11 @@ def _link(name: str, lhs: float, rhs: float, tol: float) -> dict:
 
 
 def _blaschke_report(name: str, zs: ZeroSet, rhs: float, tol: float, **details) -> BoundReport:
-    """Blaschke sum of zs against rhs, the zeros listed in details["zeros"]."""
+    """Blaschke sum of zs against rhs; zs is the report's zeros, listed in details["zeros"]."""
     zeros = [{"re": loc.real, "im": loc.imag, "multiplicity": m} for loc, m in zs.zeros]
     return BoundReport(
-        name=name, lhs=blaschke_sum(zs), rhs=rhs, tol=tol, details={"zeros": zeros, **details}
+        name=name, lhs=blaschke_sum(zs), rhs=rhs, tol=tol, details={"zeros": zeros, **details},
+        zeros=zs,
     )
 
 

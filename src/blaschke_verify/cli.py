@@ -154,9 +154,6 @@ def _emit(args, command: str, reports) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
-    if getattr(args, "json_out", None):
-        with open(args.json_out, "w") as fh:
-            fh.write(text + "\n")
     if getattr(args, "csv_out", None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -214,20 +211,6 @@ def _agreement_report(name, a: ZeroSet, b: ZeroSet, tol: float) -> BoundReport:
     return BoundReport(name=name, lhs=lhs, rhs=tol, tol=0.0, details=details)
 
 
-def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):
-    """Reports comparing the three zero-finding routes on one function.
-
-    sigma is the shifted-mode representative driving the eigenvalue route.
-    """
-    reports = []
-    roots = zeros_via_numerator_roots(f)
-    eig = zeros_via_L(build_system_from_measure(sigma))
-    reports.append(_agreement_report("zeros-eigenvalue-vs-roots", eig, roots, tol))
-    arg = zeros_via_argument_principle(f, radius=CONTOUR_CAP)
-    reports.append(_agreement_report("zeros-contour-vs-roots", arg, roots.within(arg.radius), tol))
-    return reports
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -235,15 +218,22 @@ def _zero_crosscheck(sigma, f: CauchyFunction, tol: float):
 def cmd_verify_measure(args) -> int:
     mu = measure_from_jsonable(_load_json(args.path))
     tol = _tol(args, "blaschke")
+    # one run of each route: the bound's zero set is one side of zeros-eigenvalue-vs-roots
     if args.mode == "shifted":
         main = check_theorem2(mu, tol=tol)
         f = CauchyFunction(source=mu, mode="shifted")
-        sigma = mu
+        eig, roots = main.zeros, zeros_via_numerator_roots(f)
     else:
         main = check_corollary(mu, tol=tol)
         f = CauchyFunction(source=mu, mode="direct")
-        sigma = shift_measure(mu)
-    reports = [main] + _zero_crosscheck(sigma, f, _tol(args, "pairing"))
+        eig, roots = zeros_via_L(build_system_from_measure(shift_measure(mu))), main.zeros
+    arg = zeros_via_argument_principle(f, radius=CONTOUR_CAP)
+    pairing = _tol(args, "pairing")
+    reports = [
+        main,
+        _agreement_report("zeros-eigenvalue-vs-roots", eig, roots, pairing),
+        _agreement_report("zeros-contour-vs-roots", arg, roots.within(arg.radius), pairing),
+    ]
     return _emit(args, "verify-measure", reports)
 
 
@@ -405,7 +395,6 @@ _FLAGS = {
     "--instances": {"type": int, "default": 100, "help": "suite size"},
     "--max-atoms": {"type": int, "default": 8},
     "--max-dim": {"type": int, "default": 10},
-    "--json-out": {"help": "also write payload here"},
     "--csv-out": {"help": "flat CSV of all reports"},
 }
 
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (func, about, tols, flags) in _COMMANDS.items():
         c = sub.add_parser(name, help=about)
-        for flag in flags.split() + ["--json-out", "--csv-out"]:
+        for flag in flags.split() + ["--csv-out"]:
             c.add_argument(flag, **_FLAGS[flag])
         c.add_argument("--tol", action="append", metavar="NAME=VAL",
                        help=f"tolerance override; names: {', '.join(tols.split())}")

@@ -134,10 +134,6 @@ class AtomicMeasure:
         """mu(T) = sum of weights + lebesgue coefficient."""
         return complex(np.sum(self.weights) + self.lebesgue)
 
-    def conjugate(self) -> "AtomicMeasure":
-        """The measure with conjugated weights at conjugated atoms."""
-        return AtomicMeasure(np.conj(self.points), np.conj(self.weights), self.lebesgue.conjugate())
-
 
 def dirac(point, weight: complex = 1.0) -> AtomicMeasure:
     """weight * delta_point, a single atom."""

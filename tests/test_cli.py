@@ -15,8 +15,17 @@ import pytest
 import blaschke_verify
 from blaschke_verify import cli
 from blaschke_verify.cli import main
+from blaschke_verify.bounds import check_corollary, check_theorem2
 from blaschke_verify.linalg import NumericalRangeSupport
-from blaschke_verify.zeros import ZeroSet
+from blaschke_verify.measure import measure_from_jsonable
+from blaschke_verify.operator_model import build_system_from_measure
+from blaschke_verify.transform import CauchyFunction
+from blaschke_verify.zeros import (
+    ZeroSet,
+    zeros_via_argument_principle,
+    zeros_via_L,
+    zeros_via_numerator_roots,
+)
 
 from conftest import DATA
 
@@ -82,6 +91,37 @@ def test_atomless_measure_gets_every_row(capsys, tmp_path, obj, mode):
     assert [r["name"] for r in rows[1:]] == ["zeros-eigenvalue-vs-roots", "zeros-contour-vs-roots"]
     assert all(r["pass"] for r in rows)
     assert rows[1]["lhs"] == 0.0 and rows[1]["details"]["counts"] == [0, 0]
+
+
+@pytest.mark.parametrize("mode", ["shifted", "direct"])
+@pytest.mark.parametrize("name", ["double_zero_measure", "measure_32_atoms"])
+def test_verify_measure_runs_each_route_once(capsys, data_dir, name, mode):
+    # counted on the code objects, so a call made inside bounds counts too;
+    # the bound's own zero set is one side of zeros-eigenvalue-vs-roots
+    routes = (zeros_via_L, zeros_via_numerator_roots, zeros_via_argument_principle)
+    names = {r.__code__: r.__name__ for r in routes}
+    calls = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in names:
+            calls.append(names[frame.f_code])
+
+    path = data_dir / f"{name}.json"
+    sys.setprofile(profile)
+    try:
+        code, _, _ = run(capsys, ["verify-measure", str(path), "--mode", mode])
+    finally:
+        sys.setprofile(None)
+    assert code == 0
+    assert sorted(calls) == sorted(names.values())
+    mu = measure_from_jsonable(json.loads(path.read_text()))
+    if mode == "shifted":
+        report = check_theorem2(mu)
+        assert report.zeros == zeros_via_L(build_system_from_measure(mu))
+    else:
+        report = check_corollary(mu)
+        assert report.zeros == zeros_via_numerator_roots(CauchyFunction(source=mu, mode="direct"))
+    assert set(report.to_jsonable()) == {"name", "lhs", "rhs", "slack", "tol", "pass", "details"}
 
 
 def test_contour_and_roots_agree_at_the_certified_radius(capsys, data_dir):
@@ -502,21 +542,14 @@ def test_exit_two_on_bad_tol(capsys, data_dir, tol):
 
 
 def test_json_and_csv_out(capsys, tmp_path, data_dir):
-    jout = tmp_path / "out.json"
+    # the JSON payload goes to stdout only; --csv-out writes the CSV file
     cout = tmp_path / "out.csv"
     code, out, _ = run(
         capsys,
-        [
-            "verify-measure",
-            str(data_dir / "sharp_measure.json"),
-            "--json-out",
-            str(jout),
-            "--csv-out",
-            str(cout),
-        ],
+        ["verify-measure", str(data_dir / "sharp_measure.json"), "--csv-out", str(cout)],
     )
     assert code == 0
-    assert json.loads(jout.read_text())["summary"]["failed"] == 0
+    assert json.loads(out)["summary"]["failed"] == 0
     lines = cout.read_text().splitlines()
     assert lines[0] == "name,lhs,rhs,slack,tol,pass,details"
     assert len(lines) >= 2
