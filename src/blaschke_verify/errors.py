@@ -65,7 +65,8 @@ class NumericalError(BlaschkeVerifyError):
 
 
 class NoConvergence(NumericalError):
-    """Iterative eigensolver did not converge."""
+    """The Schur iteration stalled, or a numerical-range distance bracket was
+    still open after NR_MAX_STEPS single-angle evaluations."""
 
 
 class SingularResolvent(NumericalError):

@@ -668,6 +668,29 @@ def test_scipy_linalg_is_imported_on_the_first_schur_form():
     assert done.stdout == "False True\n"
 
 
+_MODULES = sorted(path.stem for path in pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")
+                  if path.name != "__init__.py")
+# the layers below the zero routes, which load no route, check or CLI
+_LOWER_LAYERS = {"errors", "codec", "linalg", "measure", "transform", "operator_model"}
+_UPPER_LAYERS = {f"blaschke_verify.{m}" for m in ("zeros", "bounds", "dilation", "cli")}
+
+
+@pytest.mark.parametrize("module", ["blaschke_verify"] + [f"blaschke_verify.{m}" for m in _MODULES])
+def test_each_module_imports_alone(module):
+    # one fresh interpreter per module, so no other import order hides a cycle
+    script = (
+        f"import sys, {module}\n"
+        "print(*sorted(m for m in sys.modules if m.split('.')[0] == 'blaschke_verify'))\n"
+    )
+    done = _fresh_interpreter(["-W", "error", "-c", script])
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    if module == "blaschke_verify":
+        assert loaded == {"blaschke_verify"}
+    elif module.rpartition(".")[2] in _LOWER_LAYERS:
+        assert not loaded & _UPPER_LAYERS, loaded
+
+
 def test_passing_instances_build_no_replay_payload(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("payload built for a passing instance")
