@@ -5,7 +5,8 @@ suites, and emit a JSON payload on stdout (reports plus a summary); stderr
 carries diagnostics and replay dumps of failed instances.  Exit code 0 means
 every check passed, 1 means a check failed or a numerical procedure gave up,
 2 means the input could not be parsed, violated a precondition or asked for
-more memory than there is.
+more memory than there is, and 141 means stdout or stderr was closed before
+the output was written, as for a process killed by SIGPIPE.
 
 Output is byte-identical for identical (seed, flags, input): instance k of a
 suite draws from its own generator keyed by (seed, k), and every instance runs
@@ -20,6 +21,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -131,8 +133,7 @@ def _expand(reports):
     out = []
     for r in reports:
         out.append(r)
-        links = r.details.get("links", []) if isinstance(r.details, dict) else []
-        for l in links:
+        for l in r.details.get("links", []):
             out.append(
                 BoundReport(
                     name=f"{r.name}/{l['name']}",
@@ -154,6 +155,7 @@ def _emit(args, command: str, reports) -> int:
     }
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
+    sys.stdout.flush()  # a closed stdout raises here, inside main's try
     if getattr(args, "csv_out", None):
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -439,6 +441,16 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # a reader is gone: point the closed stream at devnull so the flush
+        # at exit cannot raise again (the SIGPIPE recipe of the signal
+        # module docs); a healthy stream flushes and stays as it is
+        for stream in (sys.stdout, sys.stderr):
+            try:
+                stream.flush()
+            except BrokenPipeError:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return 141
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import blaschke_verify
-from blaschke_verify import cli
+from blaschke_verify import bounds, cli
 from blaschke_verify.cli import main
 from blaschke_verify.bounds import check_corollary, check_theorem2
 from blaschke_verify.linalg import NumericalRangeSupport
@@ -38,15 +38,35 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
-def _fresh_interpreter(args, **env):
+def _fresh_interpreter(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """Run python with args from the repository root, this package first on the path."""
     src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
     env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env,
+        [sys.executable, *args], stdout=stdout, stderr=stderr, text=True, env=env,
         cwd=pathlib.Path(__file__).resolve().parents[1], timeout=120,
     )
+
+
+_RUN_EACH = (
+    "import contextlib, io, json, sys\n"
+    "from blaschke_verify.cli import main\n"
+    "runs = []\n"
+    "for argv in json.loads(sys.argv[1]):\n"
+    "    out, err = io.StringIO(), io.StringIO()\n"
+    "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+    "        runs.append([main(argv), out.getvalue(), err.getvalue()])\n"
+    "print(json.dumps(runs))\n"
+)
+
+
+def _main_in_one_interpreter(argvs, **env):
+    """(code, stdout, stderr) of main on each argv, in turn, in one fresh
+    interpreter with the given environment and every warning an error."""
+    done = _fresh_interpreter(["-W", "error", "-c", _RUN_EACH, json.dumps(argvs)], **env)
+    assert done.returncode == 0, done.stderr
+    return [tuple(r) for r in json.loads(done.stdout)]
 
 
 def test_verify_measure_sharp(capsys, data_dir):
@@ -139,6 +159,57 @@ def test_contour_and_roots_agree_at_the_certified_radius(capsys, data_dir):
     assert contour["pass"] and contour["details"]["counts"] == [3, 3]
 
 
+# passing runs on the inputs where a route or check could warn, each of which
+# must exit 0 with a silent stderr; pyproject's filterwarnings makes every
+# warning an error, so a bare warnings.warn or a numpy RuntimeWarning fails.
+# The BLAS-thread and hash-seed tests hold the same check, under -W error,
+# for --which all, sharp and double_zero, and each other subcommand's fixture
+_CLEAN_RUNS = {
+    # the dilation suite's draw and round trip, and the real-line suite's
+    # rank-one factors
+    "dilation": "random-suite --which dilation --instances 100",
+    "realline": "random-suite --which realline --instances 50",
+    "schur": "random-suite --which schur --instances 20",
+    # many numerical-range distances, so a 0/0 in the secant or in a segment
+    # distance fails here
+    "thm3-200": "random-suite --which thm3 --instances 200",
+    "schur-200": "random-suite --which schur --instances 200",
+    # up to 30 x 30, where the 32-angle boundary polygon is coarsest and the
+    # refinement does the most steps
+    "thm3-dim30": "random-suite --which thm3 --max-dim 30 --instances 40",
+    "schur-dim30": "random-suite --which schur --max-dim 30 --instances 40",
+    # measure_32_atoms: the contour route reads all 18 to 29 zeros off the top
+    # circle's Hankel pencil and Newton steps, so a large reading that
+    # overflows or divides by zero fails; near_duplicate_atoms: atoms 4e-13 to
+    # 1.5e-12 apart merge, one pair cancels exactly, and signed-zero points
+    # are snapped to the circle
+    **{f"{m}-{mode}": f"verify-measure {m}.json --mode {mode}"
+       for m in ("measure_32_atoms", "near_duplicate_atoms") for mode in ("shifted", "direct")},
+}
+
+
+@pytest.mark.parametrize("line", list(_CLEAN_RUNS.values()), ids=list(_CLEAN_RUNS))
+def test_cli_run_is_clean(capsys, line):
+    argv = [str(DATA / a) if a.endswith(".json") else a for a in line.split()]
+    code, _, err = run(capsys, argv)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("mode", ["shifted", "direct"])
+def test_measure_64_atoms_leaves_zeros_unpaired(capsys, mode):
+    # the numerator roots find 33 zeros, 32 or 33 of them inside the contour's
+    # radius, for the 30 (shifted) or 28 (direct) of the eigenvalue route
+    # (ROADMAP item 3): exactly the two agreement rows fail, each naming the
+    # zeros it leaves unpaired, with exit 1 and a silent stderr
+    code, out, err = run(capsys, ["verify-measure", str(DATA / "measure_64_atoms.json"),
+                                  "--mode", mode])
+    assert code == 1 and err == ""
+    failed = [r for r in json.loads(out)["reports"] if not r["pass"]]
+    assert sorted(r["name"] for r in failed) == ["zeros-contour-vs-roots",
+                                                 "zeros-eigenvalue-vs-roots"]
+    assert all(any(r["details"]["unpaired"]) for r in failed)
+
+
 def test_agreement_report_names_the_unpaired_zeros():
     tol = cli.PAIRING_TOL
 
@@ -168,6 +239,22 @@ def test_output_is_byte_deterministic(capsys):
     code2, out2, _ = run(capsys, args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+_FORCED = ["--tol", "blaschke=-1", "--tol", "schur=-1", "--tol", "realline=-1"]
+
+
+def test_output_does_not_depend_on_the_hash_seed():
+    # the suite payload and its failure dumps (forced by negative tolerances),
+    # and the contour route's payloads, whose contours may end early
+    argvs = [["random-suite", "--which", "all", "--instances", "20", *_FORCED]]
+    argvs += [["verify-measure", str(DATA / f"{m}.json"), "--mode", mode]
+              for m in ("sharp_measure", "double_zero_measure") for mode in ("shifted", "direct")]
+    runs = [_main_in_one_interpreter(argvs, PYTHONHASHSEED=seed) for seed in ("0", "1")]
+    assert runs[0] == runs[1]
+    (code, _, err), *measures = runs[0]
+    assert code == 1 and err
+    assert [(code, err) for code, _, err in measures] == [(0, "")] * 4
 
 
 def test_failure_dumps_come_suite_by_suite(capsys):
@@ -218,6 +305,27 @@ def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch):
     code, out, _ = run(capsys, ["random-suite", "--which", "all", "--instances", "6"])
     assert code == 0
     assert len(builds) == 6
+
+
+def test_trace_checks_do_not_depend_on_the_shared_pair(capsys, monkeypatch):
+    # thm3 and schur of a pair share the factors of the last pair checked, so
+    # a check that altered them would move the other's rows: their rows,
+    # links included, must read the same when each suite runs alone
+    def rows(which, *suites):
+        monkeypatch.setattr(bounds, "_pair_slot", None)  # as in a new process
+        code, out, _ = run(capsys, ["random-suite", "--instances", "50", "--seed", "5",
+                                    "--which", which])
+        assert code in (0, 1)
+        suite, kept = None, []
+        for row in json.loads(out)["reports"]:
+            suite = row["details"].get("suite", suite)  # link rows follow their report
+            if suite in suites:
+                kept.append(json.dumps(row, sort_keys=True))
+        return kept
+
+    shared = rows("all", "thm3", "schur")
+    assert len(shared) == 250
+    assert shared == rows("thm3", "thm3") + rows("schur", "schur")
 
 
 def test_random_suite_all_small(capsys):
@@ -294,6 +402,33 @@ def test_exit_two_on_missing_file(capsys):
     code, _, err = run(capsys, ["verify-measure", "/nonexistent/measure.json"])
     assert code == 2
     assert "io error" in err
+
+
+@pytest.mark.parametrize(
+    "closed, argv",
+    [
+        ("stdout", ["jensen"]),
+        # payloads under the 8 KiB stdout buffer, written only by a flush
+        ("stdout", ["jensen", "--instances", "1"]),
+        ("stdout", ["real-line", "tests/data/real_line_fixture.json"]),
+        # the first failure dump on stderr meets the closed pipe
+        ("stderr", ["random-suite", "--which", "all", "--instances", "2", *_FORCED]),
+    ],
+    ids=["jensen", "jensen-1", "real-line", "suite-dumps"],
+)
+def test_closed_pipe_exits_as_on_sigpipe(closed, argv):
+    # the reader is gone before the output is written: exit 141 with the
+    # other stream silent, not the exit 2 of an unreadable input file;
+    # stdout is block-buffered, as it is without PYTHONUNBUFFERED
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = _fresh_interpreter(["-m", "blaschke_verify.cli", *argv], **{closed: write},
+                                  PYTHONUNBUFFERED="")
+    finally:
+        os.close(write)
+    assert done.returncode == 141
+    assert (done.stderr if closed == "stdout" else done.stdout) == ""
 
 
 def test_exit_two_on_bad_json(capsys, tmp_path):
@@ -394,16 +529,25 @@ def test_direct_mode_passes_when_the_shift_rounds_total_variation_up(capsys, dat
     assert main_report["details"]["shifted_rhs"] > main_report["rhs"]
 
 
-def test_verify_system_does_not_depend_on_blas_threads():
-    outs = []
-    for threads in ("1", "2"):
-        done = _fresh_interpreter(
-            ["-m", "blaschke_verify.cli", "verify-system", "tests/data/dilate_system.json"],
-            OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
-        )
-        assert done.returncode == 0, done.stderr
-        outs.append(done.stdout)
-    assert outs[0] == outs[1]
+def test_output_does_not_depend_on_blas_threads():
+    # the resolvents of verify-system solve through numpy's gesv, whose
+    # rounding does not move with the thread count; jensen evaluates h with
+    # np.polyval, real-line takes an eigensolve, and the double zero is read
+    # off the numerator's roots as well
+    argvs = [
+        ["verify-system", _SYSTEM],
+        ["dilate", _SYSTEM],
+        ["verify-measure", SHARP, "--mode", "shifted"],
+        ["verify-measure", SHARP, "--mode", "direct"],
+        ["random-suite", "--which", "all", "--instances", "20"],
+        ["jensen"],
+        ["real-line", _LINE_FIXTURE],
+        ["verify-measure", str(DATA / "double_zero_measure.json"), "--mode", "direct"],
+    ]
+    runs = [_main_in_one_interpreter(argvs, OPENBLAS_NUM_THREADS=t, OMP_NUM_THREADS=t)
+            for t in ("1", "2")]
+    assert runs[0] == runs[1]
+    assert [(code, err) for code, _, err in runs[0]] == [(0, "")] * len(argvs)
 
 
 def _system(**fields):
@@ -564,9 +708,6 @@ def _numpy_scalars(obj, path="$"):
     if isinstance(obj, np.generic) and type(obj) is not np.float64:
         return [f"{path}: {type(obj).__name__}"]
     return []
-
-
-_FORCED = ["--tol", "blaschke=-1", "--tol", "schur=-1", "--tol", "realline=-1"]
 
 
 @pytest.mark.parametrize(
