@@ -17,6 +17,7 @@ import math
 
 import numpy as np
 
+from .codec import complex_to_json
 from .errors import (
     DimensionMismatch,
     NonAtomicMeasure,
@@ -92,18 +93,19 @@ def _link(name: str, lhs: float, rhs: float, tol: float) -> dict:
 
 def _blaschke_report(name: str, zs: ZeroSet, rhs: float, tol: float, **details) -> BoundReport:
     """Blaschke sum of zs against rhs; zs is the report's zeros, listed in details["zeros"]."""
-    zeros = [{"re": loc.real, "im": loc.imag, "multiplicity": m} for loc, m in zs.zeros]
+    zeros = [{**complex_to_json(loc), "multiplicity": m} for loc, m in zs.zeros]
     return BoundReport(
         name=name, lhs=blaschke_sum(zs), rhs=rhs, tol=tol, details={"zeros": zeros, **details},
         zeros=zs,
     )
 
 
-def summarize(reports) -> dict:
-    slacks = [r.slack for r in reports]
+def summarize(rows) -> dict:
+    """Totals of payload rows (BoundReport.to_jsonable dicts)."""
+    slacks = [row["slack"] for row in rows]
     return {
-        "total": len(reports),
-        "failed": sum(1 for r in reports if not r.passed),
+        "total": len(rows),
+        "failed": sum(1 for row in rows if not row["pass"]),
         "min_slack": min(slacks) if slacks else None,
     }
 
@@ -196,9 +198,7 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     dists = []
     for cl in clusters:
         d = support.distance(cl.center)
-        dists.append(
-            {"re": cl.center.real, "im": cl.center.imag, "mult": cl.multiplicity, "dist": d}
-        )
+        dists.append({**complex_to_json(cl.center), "mult": cl.multiplicity, "dist": d})
         lhs += cl.multiplicity * d
     return BoundReport(
         name="numerical-range-trace-bound",
@@ -312,7 +312,7 @@ def check_jensen_h1(numerator_coeffs, tol: float = JENSEN_TOL) -> BoundReport:
             "geometric_mean": geo,
             "h1_norm": h1,
             "h1_norm_centered": h1m1,
-            "zeros_inside": [{"re": z.real, "im": z.imag} for z in inside],
+            "zeros_inside": [complex_to_json(z) for z in inside],
         },
     )
 
@@ -358,9 +358,7 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
                     f"eigenvalue {lam!r} counted but h({lam!r}) = {resid:.3e} != 0"
                 )
             lhs += cl.multiplicity * lam.imag
-            counted.append(
-                {"re": lam.real, "im": lam.imag, "mult": cl.multiplicity, "residual": resid}
-            )
+            counted.append({**complex_to_json(lam), "mult": cl.multiplicity, "residual": resid})
     return BoundReport(
         name="half-plane-zero-bound",
         lhs=lhs,

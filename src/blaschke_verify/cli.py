@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
@@ -41,7 +40,12 @@ from .bounds import (
     check_theorem3,
     summarize,
 )
-from .codec import line_atoms_from_jsonable, line_atoms_to_jsonable, matrix_to_json
+from .codec import (
+    complex_to_json,
+    line_atoms_from_jsonable,
+    line_atoms_to_jsonable,
+    matrix_to_json,
+)
 from .dilation import TAYLOR_TOL, dilate, roundtrip_check, roundtrip_report
 from .errors import BlaschkeVerifyError, InputError
 from .measure import measure_from_jsonable, measure_to_jsonable, shift_measure
@@ -128,53 +132,31 @@ def _tol(args, name: str) -> float:
     return args.tols.get(name, _TOL_DEFAULTS[name])
 
 
-def _expand(reports):
-    """Flatten chain links into standalone rows next to their parent report."""
-    out = []
+def _rows(reports) -> list:
+    """Payload rows: each report's row, then one row per chain link, named parent/link."""
+    rows = []
     for r in reports:
-        out.append(r)
-        for l in r.details.get("links", []):
-            out.append(
-                BoundReport(
-                    name=f"{r.name}/{l['name']}",
-                    lhs=l["lhs"],
-                    rhs=l["rhs"],
-                    tol=l["tol"],
-                    details={},
-                )
-            )
-    return out
+        row = r.to_jsonable()
+        rows.append(row)
+        rows += [{**l, "name": f"{row['name']}/{l['name']}", "details": {}}
+                 for l in row["details"].get("links", [])]
+    return rows
 
 
 def _emit(args, command: str, reports) -> int:
-    rows = _expand(reports)
-    payload = {
-        "command": command,
-        "reports": [r.to_jsonable() for r in rows],
-        "summary": summarize(rows),
-    }
+    rows = _rows(reports)
+    payload = {"command": command, "reports": rows, "summary": summarize(rows)}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     print(text)
     sys.stdout.flush()  # a closed stdout raises here, inside main's try
     if getattr(args, "csv_out", None):
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["name", "lhs", "rhs", "slack", "tol", "pass", "details"])
-        for r in rows:
-            writer.writerow(
-                [
-                    r.name,
-                    repr(r.lhs),
-                    repr(r.rhs),
-                    repr(r.slack),
-                    repr(r.tol),
-                    r.passed,
-                    json.dumps(r.details, sort_keys=True),
-                ]
-            )
         with open(args.csv_out, "w") as fh:
-            fh.write(buf.getvalue())
-    return 0 if all(r.passed for r in rows) else 1
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["name", "lhs", "rhs", "slack", "tol", "pass", "details"])
+            for r in rows:
+                writer.writerow([r["name"], *(repr(r[k]) for k in ("lhs", "rhs", "slack", "tol")),
+                                 r["pass"], json.dumps(r["details"], sort_keys=True)])
+    return 0 if all(r["pass"] for r in rows) else 1
 
 
 def _dump_failure(command: str, payload: dict):
@@ -204,8 +186,8 @@ def _agreement_report(name, a: ZeroSet, b: ZeroSet, tol: float) -> BoundReport:
     details = {"methods": [a.method, b.method], "counts": [a.count, b.count], "matched": matched}
     if not matched:
         sides = unpaired_zeros(a, b, tol)
-        details["unpaired"] = [[{"re": z.real, "im": z.imag, "multiplicity": m}
-                                for z, m, _ in side] for side in sides]
+        details["unpaired"] = [[{**complex_to_json(z), "multiplicity": m} for z, m, _ in side]
+                               for side in sides]
         # lhs: the farthest unpaired zero.  If none is unpaired (the counts or
         # multiplicities differ with every zero within tol) or the other set is
         # empty, no distance fails the row, and the sentinel tol + 1.0 does.
@@ -250,7 +232,7 @@ def _determinant_report(s: ContractionSystem, tol: float) -> BoundReport:
         scale = max(1.0, abs(d1))
         rel = max(abs(d1 - d2), abs(d1 - d3)) / scale
         worst = max(worst, rel)
-        pts.append({"re": lam.real, "im": lam.imag, "rel_spread": rel})
+        pts.append({**complex_to_json(lam), "rel_spread": rel})
     return BoundReport(
         name="determinant-identity",
         lhs=worst,
@@ -327,7 +309,7 @@ def _run_suite(suites, args):
                     details={"error": msg},
                 )
             report = _with_detail(report, suite=which, instance=index)
-            failed = not all(r.passed for r in _expand([report]))
+            failed = not all(row["pass"] for row in _rows([report]))
             out.append((report, build() if failed else None))
     reports = []
     for which, out in zip(suites, runs):

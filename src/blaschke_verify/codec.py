@@ -1,4 +1,4 @@
-"""JSON codec for measure, system and real-line files.
+"""JSON codec for measure, system and real-line files and the complex numbers of reports.
 
 A complex number is {"re": x, "im": y} (a missing part reads as 0), a vector
 a list of them, a matrix a list of rows; a real-line atom is {"s": x, "c": z}

@@ -38,7 +38,9 @@ def test_bound_report_semantics():
     assert r2.passed  # inside tolerance
     r3 = BoundReport(name="x", lhs=3.0, rhs=2.0, tol=1e-9)
     assert not r3.passed
-    assert summarize([r, r3]) == {"total": 2, "failed": 1, "min_slack": -1.0}
+    assert summarize([r.to_jsonable(), r3.to_jsonable()]) == {
+        "total": 2, "failed": 1, "min_slack": -1.0
+    }
     assert summarize([])["min_slack"] is None
 
 

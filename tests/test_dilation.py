@@ -143,6 +143,20 @@ def test_spectral_measure_mass_equals_pairing():
         assert want == pytest.approx(complex(np.vdot(s.psi, s.phi)), abs=1e-12)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    raises=DilationError,
+    reason="ROADMAP item 12b: the total-variation guard is absolute, and its sum "
+    "rounds 2 ulps above ||phi|| ||psi|| = 2e300",
+)
+def test_spectral_measure_at_large_phi():
+    # phi = psi = [1e150, 1e150]: the measure is valid, its total variation is
+    # ||phi|| ||psi|| in exact arithmetic
+    phi = np.array([1e150, 1e150], dtype=complex)
+    mu = extract_spectral_measure(dilate(np.diag([0.5, -0.5]).astype(complex), 1), phi, phi)
+    assert mu.mass() == pytest.approx(2e300, rel=1e-12)
+
+
 def test_roundtrip_random():
     rng = spawn_rng(43, 0)
     for trial in range(20):
