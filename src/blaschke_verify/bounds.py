@@ -18,15 +18,7 @@ import math
 import numpy as np
 
 from .codec import complex_to_json
-from .errors import (
-    DimensionMismatch,
-    NonAtomicMeasure,
-    NonFiniteValue,
-    NotNormalized,
-    NumericalError,
-    QuadratureNoConvergence,
-    ZeroOnBoundary,
-)
+from .errors import InputError, NumericalError, QuadratureNoConvergence, ZeroOnBoundary
 from .linalg import (
     NumericalRangeSupport,
     as_square_matrix,
@@ -129,7 +121,7 @@ def check_theorem2(sigma: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundRepo
     the zero bound with a surrogate right side.
     """
     if sigma.lebesgue != 0:
-        raise NonAtomicMeasure("shifted-mode zero bound needs an atomic measure")
+        raise InputError("shifted-mode zero bound needs an atomic measure")
     zs = zeros_via_L(build_system_from_measure(sigma))
     return _blaschke_report(
         "shifted-transform-zero-bound", zs, total_variation(sigma), tol, rhs_kind=_SURROGATE
@@ -146,7 +138,7 @@ def check_corollary(mu: AtomicMeasure, tol: float = BLASCHKE_TOL) -> BoundReport
     drops the Lebesgue part, so it does not exceed rhs beyond rounding.
     """
     if abs(mu.mass() - 1.0) > 1e-12:
-        raise NotNormalized(f"mu(T) = {mu.mass()!r}, need 1")
+        raise InputError(f"mu(T) = {mu.mass()!r}, need 1")
     f = CauchyFunction(source=mu, mode="direct")
     zs = zeros_via_numerator_roots(f)
     rhs = total_variation(mu)
@@ -161,7 +153,7 @@ _pair_slot = None  # see _pair_of
 
 def _pair_of(A, L):
     """(A, L, NumericalRangeSupport of A, Schur form of L, trace_norm(L - A))
-    of the validated pair; raises DimensionMismatch for unequal shapes.
+    of the validated pair; raises InputError for unequal shapes.
 
     One module slot holds the last pair checked as one immutable tuple
     (key, support, schur, trace_norm), keyed by (shape, A.tobytes(),
@@ -173,7 +165,7 @@ def _pair_of(A, L):
     global _pair_slot
     A, L = as_square_matrix(A), as_square_matrix(L)
     if A.shape != L.shape:
-        raise DimensionMismatch(f"A is {A.shape}, L is {L.shape}")
+        raise InputError(f"A is {A.shape}, L is {L.shape}")
     key = (A.shape, A.tobytes(), L.tobytes())
     slot = _pair_slot
     if slot is None or slot[0] != key:
@@ -190,7 +182,7 @@ def check_theorem3(A, L, tol: float = BLASCHKE_TOL) -> BoundReport:
     NR_BRACKET_TOL * max(1, |lam|) (see NumericalRangeSupport): it never
     exceeds the true distance and is within that width of it.  So a failure
     is real, and a pass holds up to that width per eigenvalue.
-    Raises DimensionMismatch when the shapes differ or the pair is empty.
+    Raises InputError when the shapes differ or the pair is empty.
     """
     A, L, support, sf, tn = _pair_of(A, L)
     clusters = eigenvalues_clustered(L, schur=sf)
@@ -221,7 +213,7 @@ def check_schur_chain(A, L, tol: float = SCHUR_LINK_TOL) -> BoundReport:
 
     S2 and S3 agree up to the Schur residual (lam_n = <L g_n, g_n>); each
     adjacent link is reported in details["links"], and the top-level report
-    compares S1 with the trace norm.  Raises DimensionMismatch when the shapes
+    compares S1 with the trace norm.  Raises InputError when the shapes
     differ or the pair is empty.
     """
     A, L, support, sf, tn = _pair_of(A, L)
@@ -291,7 +283,7 @@ def check_jensen_h1(numerator_coeffs, tol: float = JENSEN_TOL) -> BoundReport:
     """
     coeffs = np.asarray(numerator_coeffs, dtype=complex).ravel()
     if coeffs.size == 0 or abs(coeffs[0] - 1.0) > 1e-12:
-        raise NotNormalized("polynomial must have constant coefficient 1")
+        raise InputError("polynomial must have constant coefficient 1")
     log_mean, h1, h1m1 = _circle_means(coeffs)
     roots = polynomial_roots(coeffs)
     inside = roots[np.abs(roots) < 1.0]
@@ -340,12 +332,12 @@ def check_real_line_variant(atoms, tol: float = REAL_LINE_TOL) -> BoundReport:
     # finite positions and weights may still overflow their sums and products
     with np.errstate(over="ignore", invalid="ignore"):
         if abs(np.sum(cc) - 1.0) > 1e-12:
-            raise NotNormalized(f"weights sum to {complex(np.sum(cc))!r}, need 1")
+            raise InputError(f"weights sum to {complex(np.sum(cc))!r}, need 1")
         rhs = float(np.sum(np.abs(ss) * np.abs(cc)))
         phi, psi = rank_one_factors(ss * cc)
         L = np.diag(ss).astype(complex) - np.outer(phi, np.conj(psi))
     if not (math.isfinite(rhs) and np.all(np.isfinite(L))):
-        raise NonFiniteValue(f"atoms: sum |s_j| |c_j| = {rhs!r}; it, s_j c_j and L must be finite")
+        raise InputError(f"atoms: sum |s_j| |c_j| = {rhs!r}; it, s_j c_j and L must be finite")
     clusters = eigenvalues_clustered(L)
     lhs = 0.0
     counted = []

@@ -147,15 +147,15 @@ def _emit(args, command: str, reports) -> int:
     rows = _rows(reports)
     payload = {"command": command, "reports": rows, "summary": summarize(rows)}
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
-    print(text)
-    sys.stdout.flush()  # a closed stdout raises here, inside main's try
-    if getattr(args, "csv_out", None):
+    if getattr(args, "csv_out", None):  # first, so an unwritable path prints nothing
         with open(args.csv_out, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(["name", "lhs", "rhs", "slack", "tol", "pass", "details"])
             for r in rows:
                 writer.writerow([r["name"], *(repr(r[k]) for k in ("lhs", "rhs", "slack", "tol")),
                                  r["pass"], json.dumps(r["details"], sort_keys=True)])
+    print(text)
+    sys.stdout.flush()  # a closed stdout raises here, inside main's try
     return 0 if all(r["pass"] for r in rows) else 1
 
 

@@ -4,7 +4,7 @@ A complex number is {"re": x, "im": y} (a missing part reads as 0), a vector
 a list of them, a matrix a list of rows; a real-line atom is {"s": x, "c": z}
 (a missing c reads as 0).  Parsing rejects non-numbers (booleans included),
 non-lists, ragged or non-square matrices and NaN or infinite values, each
-with an InputError subclass whose message names the field.
+with an InputError whose message names the field.
 """
 
 from __future__ import annotations
@@ -13,23 +13,23 @@ import cmath
 
 import numpy as np
 
-from .errors import DimensionMismatch, MalformedField, NonFiniteValue
+from .errors import InputError
 
 
 def finite(z, what: str):
-    """z unchanged; NonFiniteValue naming `what` if it is NaN or infinite."""
+    """z unchanged; InputError naming `what` if it is NaN or infinite."""
     if not cmath.isfinite(z):
-        raise NonFiniteValue(f"{what} {z!r} is not finite")
+        raise InputError(f"{what} {z!r} is not finite")
     return z
 
 
 def _number(x, what: str) -> float:
     if isinstance(x, bool) or not isinstance(x, (int, float)):
-        raise MalformedField(f"{what} must be a number, got {x!r}")
+        raise InputError(f"{what} must be a number, got {x!r}")
     try:
         return float(x)
     except OverflowError:  # an integer beyond the float range
-        raise NonFiniteValue(f"{what} {x!r} is not finite") from None
+        raise InputError(f"{what} {x!r} is not finite") from None
 
 
 def real_from_json(x, what: str) -> float:
@@ -38,7 +38,7 @@ def real_from_json(x, what: str) -> float:
 
 def complex_from_json(obj, what: str) -> complex:
     if not isinstance(obj, dict):
-        raise MalformedField(f"{what} must be an object with re/im fields, got {obj!r}")
+        raise InputError(f"{what} must be an object with re/im fields, got {obj!r}")
     re, im = (_number(obj.get(k, 0.0), f"{what}.{k}") for k in ("re", "im"))
     return finite(complex(re, im), what)
 
@@ -49,7 +49,7 @@ def complex_to_json(z) -> dict:
 
 def _list(obj, what: str) -> list:
     if not isinstance(obj, list):
-        raise MalformedField(f"{what} must be a list, got {obj!r}")
+        raise InputError(f"{what} must be a list, got {obj!r}")
     return obj
 
 
@@ -67,7 +67,7 @@ def matrix_from_json(obj, what: str) -> np.ndarray:
     rows = [vector_from_json(row, f"{what}[{i}]") for i, row in enumerate(_list(obj, what))]
     if not rows or any(row.size != len(rows) for row in rows):
         lengths = sorted({row.size for row in rows})
-        raise DimensionMismatch(
+        raise InputError(
             f"{what} must be a non-empty square matrix, got {len(rows)} rows of lengths {lengths}"
         )
     return np.array(rows)
@@ -80,7 +80,7 @@ def matrix_to_json(M) -> list:
 def json_object(obj, what: str, keys: tuple) -> dict:
     """obj itself if it is a JSON object holding every one of keys."""
     if not isinstance(obj, dict) or not all(k in obj for k in keys):
-        raise MalformedField(f"{what} must be an object with {', '.join(keys)}")
+        raise InputError(f"{what} must be an object with {', '.join(keys)}")
     return obj
 
 

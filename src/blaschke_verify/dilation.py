@@ -28,7 +28,7 @@ import dataclasses
 import numpy as np
 
 from .bounds import BoundReport
-from .errors import DilationError, NotAContraction
+from .errors import DilationError, InputError
 from .linalg import cluster_points, operator_norm, operator_norm_over, psd_sqrt, schur_decompose
 from .measure import AtomicMeasure, reflect_measure, total_variation
 from .operator_model import CONTRACTION_SLACK, ContractionSystem
@@ -71,7 +71,7 @@ class DilationResult:
 def dilate(A, N: int) -> DilationResult:
     """Build the unitary N-dilation; unitarity and compression are enforced.
 
-    Raises NotAContraction for ||A|| > 1 + 1e-10, DilationError if the
+    Raises InputError for ||A|| > 1 + 1e-10, DilationError if the
     assembled matrix misses unitarity (1e-10 * dim) or any compression
     block(U^k)_00 = A^k for 1 <= k <= N (1e-10 * ||A||^k each).
     """
@@ -80,7 +80,7 @@ def dilate(A, N: int) -> DilationResult:
         raise ValueError("dilation order N must be >= 1")
     nrm = operator_norm(A)
     if nrm > 1.0 + CONTRACTION_SLACK:
-        raise NotAContraction(f"||A|| = {nrm!r} exceeds 1 + 1e-10")
+        raise InputError(f"||A|| = {nrm!r} exceeds 1 + 1e-10")
     n = A.shape[0]
     eye = np.eye(n, dtype=complex)
     DA = psd_sqrt(eye - A.conj().T @ A)
@@ -167,8 +167,10 @@ def extract_spectral_measure(d: DilationResult, phi, psi) -> AtomicMeasure:
         raise DilationError(
             f"spectral weights sum to {total!r}, expected <phi,psi> = {inner!r}"
         )
+    # sum_k |conj(b_k) a_k| <= ||a|| ||b|| = scale, Q being unitary; both
+    # sides round by O(dim * eps) * scale, so the slack is relative
     tv = total_variation(measure)
-    if tv > scale + 1e-10:
+    if tv > scale + 1e-10 * max(1.0, scale):
         raise DilationError(f"total variation {tv!r} exceeds ||phi|| ||psi|| = {scale!r}")
     return measure
 

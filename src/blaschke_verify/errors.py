@@ -2,9 +2,10 @@
 
 Everything derives from :class:`BlaschkeVerifyError` so callers can catch the
 whole family at once.  Input-validation failures (bad points, non-contractions,
-unnormalized measures) are kept separate from numerical failures (eigensolver
-stagnation, contours through zeros) because the CLI maps them to different exit
-codes.
+unnormalized measures) raise :class:`InputError`, whose message names the
+field or precondition; the CLI exits 2 on them.  Numerical failures (eigensolver
+stagnation, contours through zeros) raise a :class:`NumericalError` leaf, whose
+name the CLI prints after ``check failed:`` before exiting 1.
 """
 
 
@@ -14,50 +15,6 @@ class BlaschkeVerifyError(Exception):
 
 class InputError(BlaschkeVerifyError):
     """A caller-supplied object violates a documented precondition."""
-
-
-class NonFiniteValue(InputError):
-    """A point, weight or coefficient is NaN or infinite."""
-
-
-class MalformedField(InputError):
-    """A file field is not a number, list or object where one is required."""
-
-
-class PointNotOnCircle(InputError):
-    """Atom point further than the repair band from the unit circle."""
-
-
-class NonAtomicMeasure(InputError):
-    """Operation requires a purely atomic measure but lebesgue != 0."""
-
-
-class NotNormalized(InputError):
-    """Measure mass (or weight sum) must equal 1 for this check."""
-
-
-class NotAContraction(InputError):
-    """Operator norm exceeds 1 beyond the admitted slack."""
-
-
-class NotHermitian(InputError):
-    """Matrix is not Hermitian within tolerance."""
-
-
-class NotPSD(InputError):
-    """Hermitian matrix has an eigenvalue below the admitted negative slack."""
-
-
-class OutsideDisk(InputError):
-    """Evaluation point must lie in the open unit disk."""
-
-
-class OutsideDomain(InputError):
-    """Evaluation point must lie outside the closed unit disk."""
-
-
-class DimensionMismatch(InputError):
-    """Operands have incompatible shapes."""
 
 
 class NumericalError(BlaschkeVerifyError):

@@ -20,13 +20,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NoConvergence,
-    NonFiniteValue,
-    NotHermitian,
-    NotPSD,
-)
+from .errors import InputError, NoConvergence
 
 DEFAULT_CLUSTER_TOL = 1e-6
 # Hermitian and PSD slack of psd_sqrt, relative to max(||H||, 1)
@@ -44,9 +38,9 @@ def as_square_matrix(A) -> np.ndarray:
     """Validate and convert to a square complex ndarray (copies if needed)."""
     M = np.asarray(A, dtype=complex)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {M.shape}")
+        raise InputError(f"expected a square matrix, got shape {M.shape}")
     if not np.all(np.isfinite(M.view(float))):
-        raise NonFiniteValue("matrix entries must be finite")
+        raise InputError("matrix entries must be finite")
     return M
 
 
@@ -205,13 +199,13 @@ def psd_sqrt(H) -> np.ndarray:
     scale = max(operator_norm(M), 1.0)
     herm_defect = operator_norm_over(M - M.conj().T, PSD_TOL * scale)
     if herm_defect > PSD_TOL * scale:
-        raise NotHermitian(
+        raise InputError(
             f"||H - H*|| = {herm_defect:.3e} exceeds {PSD_TOL:.1e}*max(||H||, 1)"
         )
     sym = (M + M.conj().T) / 2
     w, V = np.linalg.eigh(sym)
     if w.size and w[0] < -PSD_TOL * scale:
-        raise NotPSD(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}*max(||H||, 1)")
+        raise InputError(f"eigenvalue {w[0]:.3e} below -{PSD_TOL:.1e}*max(||H||, 1)")
     S = (V * np.sqrt(np.maximum(w, 0.0))) @ V.conj().T
     return (S + S.conj().T) / 2
 
@@ -287,14 +281,14 @@ class NumericalRangeSupport:
     the grid and every memoized bracket stay those of the matrix it was built
     from.  The memo is a plain dict with one deterministic value per key:
     threads sharing a support can only compute a missing entry twice, never
-    read a wrong one.  Raises DimensionMismatch for an empty matrix, whose
+    read a wrong one.  Raises InputError for an empty matrix, whose
     numerical range is empty.
     """
 
     def __init__(self, A):
         self.A = as_square_matrix(A).copy()
         if self.A.shape[0] == 0:
-            raise DimensionMismatch(
+            raise InputError(
                 f"numerical range needs a non-empty matrix, got shape {self.A.shape}"
             )
         self._AH = self.A.conj().T.copy()

@@ -15,7 +15,7 @@ import dataclasses
 import numpy as np
 
 from .codec import atom_entries, complex_from_json, complex_to_json, finite, real_from_json
-from .errors import DimensionMismatch, PointNotOnCircle
+from .errors import InputError
 
 # points nearer the circle than this are snapped onto it, further are rejected
 POINT_REPAIR_BAND = 1e-9
@@ -52,7 +52,7 @@ class AtomicMeasure:
     The one constructor takes point and weight sequences of one length and
     canonicalizes them, so that equal measures compare equal.  Points,
     weights and the Lebesgue coefficient must be finite, and a point further
-    than 1e-9 from the circle raises PointNotOnCircle naming its atom.  Each
+    than 1e-9 from the circle raises InputError naming its atom.  Each
     point is snapped onto the circle by z / hypot(Re z, Im z), rounded as
     Python divides a complex by a float, twice: before the merge and after.
     In input order, each atom joins the first earlier representative within
@@ -71,7 +71,7 @@ class AtomicMeasure:
         pts = np.array(self.points, dtype=complex)
         wts = np.array(self.weights, dtype=complex)
         if pts.ndim != 1 or pts.shape != wts.shape:
-            raise DimensionMismatch(f"{pts.shape} points, {wts.shape} weights: not one flat length")
+            raise InputError(f"{pts.shape} points, {wts.shape} weights: not one flat length")
         for what, arr in (("point", pts), ("weight", wts)):
             bad = np.flatnonzero(~np.isfinite(arr))
             if bad.size:
@@ -82,7 +82,7 @@ class AtomicMeasure:
         off = np.flatnonzero(np.abs(r - 1.0) > POINT_REPAIR_BAND)
         if off.size:
             i = off[0]
-            raise PointNotOnCircle(
+            raise InputError(
                 f"atoms[{i}].point |{complex(pts[i])!r}| = {float(r[i])!r} is not within 1e-9 of 1"
             )
         once = _unit(pts)

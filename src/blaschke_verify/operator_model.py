@@ -26,16 +26,7 @@ from .codec import (
     vector_from_json,
     vector_to_json,
 )
-from .errors import (
-    DimensionMismatch,
-    NonAtomicMeasure,
-    NonFiniteValue,
-    NotAContraction,
-    NumericalError,
-    OutsideDisk,
-    OutsideDomain,
-    SingularResolvent,
-)
+from .errors import InputError, NumericalError, SingularResolvent
 from .linalg import DEFAULT_CLUSTER_TOL, as_square_matrix, eigenvalues_clustered, operator_norm
 from .measure import AtomicMeasure
 
@@ -56,15 +47,15 @@ class ContractionSystem:
         phi = np.asarray(self.phi, dtype=complex).ravel()
         psi = np.asarray(self.psi, dtype=complex).ravel()
         if phi.size != A.shape[0] or psi.size != A.shape[0]:
-            raise DimensionMismatch(
+            raise InputError(
                 f"A is {A.shape[0]}x{A.shape[0]} but |phi|={phi.size}, |psi|={psi.size}"
             )
         for name, v in (("phi", phi), ("psi", psi)):
             if not np.all(np.isfinite(v)):
-                raise NonFiniteValue(f"{name} entries must be finite")
+                raise InputError(f"{name} entries must be finite")
         nrm = operator_norm(A)
         if nrm > 1.0 + CONTRACTION_SLACK:
-            raise NotAContraction(f"||A|| = {nrm!r} exceeds 1 + 1e-10")
+            raise InputError(f"||A|| = {nrm!r} exceeds 1 + 1e-10")
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "psi", psi)
@@ -72,7 +63,7 @@ class ContractionSystem:
         with np.errstate(over="ignore", invalid="ignore"):
             norms = self.norm_product()
         if not math.isfinite(norms):
-            raise NonFiniteValue(f"||phi|| * ||psi|| is {norms!r}; it must be finite")
+            raise InputError(f"||phi|| * ||psi|| is {norms!r}; it must be finite")
 
     @property
     def n(self) -> int:
@@ -92,7 +83,7 @@ def build_system_from_measure(sigma: AtomicMeasure) -> ContractionSystem:
     the empty measure gives the 0 x 0 system, whose h is 1.
     """
     if sigma.lebesgue != 0:
-        raise NonAtomicMeasure("operator model needs a purely atomic measure")
+        raise InputError("operator model needs a purely atomic measure")
     phi, psi = rank_one_factors(sigma.weights)
     return ContractionSystem(A=np.diag(np.conj(sigma.points)), phi=phi, psi=psi)
 
@@ -133,7 +124,7 @@ def eval_h_resolvent(s: ContractionSystem, w: complex) -> complex:
     """h(w) = 1 + w <(I - wA)^{-1} phi, psi> by LU solve, |w| < 1."""
     w = complex(w)
     if abs(w) >= 1.0:
-        raise OutsideDisk(f"|w| = {abs(w)!r} >= 1")
+        raise InputError(f"|w| = {abs(w)!r} >= 1")
     B = np.eye(s.n, dtype=complex) - w * s.A
     x = _solve(B, s.phi, f"I - wA at w = {w!r}")
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses an overflow
@@ -158,7 +149,7 @@ def perturbation_determinant(
     """
     lam = complex(lam)
     if abs(lam) <= 1.0:
-        raise OutsideDomain(f"|lam| = {abs(lam)!r} must exceed 1")
+        raise InputError(f"|lam| = {abs(lam)!r} must exceed 1")
     if method not in ("rank1", "lu"):
         raise ValueError(f"unknown method {method!r}")
     B = lam * np.eye(s.n, dtype=complex) - s.A

@@ -17,7 +17,7 @@ import dataclasses
 
 import numpy as np
 
-from .errors import OutsideDisk
+from .errors import InputError
 from .measure import AtomicMeasure
 
 MODES = ("direct", "shifted")
@@ -41,7 +41,7 @@ def _check_disk(w):
     mask = np.abs(warr) >= 1.0
     if np.any(mask):
         bad = np.atleast_1d(warr)[np.atleast_1d(mask)]
-        raise OutsideDisk(f"evaluation point(s) with |w| >= 1: {bad[:4]!r}")
+        raise InputError(f"evaluation point(s) with |w| >= 1: {bad[:4]!r}")
     return warr
 
 

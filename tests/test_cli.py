@@ -508,6 +508,46 @@ def _atom(point: float, weight: float) -> dict:
     return {"point": {"re": point}, "weight": {"re": weight}}
 
 
+_EXPANSION = {"A": [[{"re": 1.5}]], "phi": [{"re": 1.0}], "psi": [{"re": 1.0}]}
+
+
+@pytest.mark.parametrize(
+    "command, obj, flags, line",
+    [
+        ("verify-measure", {"atoms": [_atom(0.5, 1.0)]}, [],
+         "atoms[0].point |(0.5+0j)| = 0.5 is not within 1e-9 of 1"),
+        ("verify-measure", {"atoms": [{"point": {"re": 1.0}, "weight": {"re": True}}]}, [],
+         "atoms[0].weight.re must be a number, got True"),
+        ("verify-measure", {"atoms": [_atom(1.0, 1.0)], "lebesgue": {"re": 1.0}},
+         ["--mode", "shifted"], "shifted-mode zero bound needs an atomic measure"),
+        ("verify-measure", {"atoms": [_atom(1.0, 1.0)], "lebesgue": {"re": 1.0}},
+         ["--mode", "direct"], "mu(T) = (2+0j), need 1"),
+        ("verify-system", _EXPANSION, [], "||A|| = 1.5 exceeds 1 + 1e-10"),
+        ("dilate", _EXPANSION, [], "||A|| = 1.5 exceeds 1 + 1e-10"),
+        ("verify-system",
+         {"A": [[{"re": 0.5}, {}], [{}, {"re": 0.5}]], "phi": [{"re": 1.0}] * 2, "psi": [{"re": 1.0}]},
+         [], "A is 2x2 but |phi|=2, |psi|=1"),
+        ("real-line", {"atoms": [{"s": 0.0, "c": {"re": 2.0}}]}, [],
+         "weights sum to (2+0j), need 1"),
+    ],
+    ids=["off-circle", "bool-weight", "lebesgue-shifted", "lebesgue-direct",
+         "expansion-verify-system", "expansion-dilate", "phi-psi-lengths", "line-unnormalised"],
+)
+def test_exit_two_stderr_is_one_input_error_line(capsys, tmp_path, command, obj, flags, line):
+    p = tmp_path / "input.json"
+    p.write_text(json.dumps(obj))
+    code, out, err = run(capsys, [command, str(p), *flags])
+    assert (code, out, err) == (2, "", f"input error: {line}\n")
+
+
+def test_unwritable_csv_out_prints_nothing(capsys, tmp_path):
+    cout = tmp_path / "missing" / "out.csv"
+    code, out, err = run(capsys, ["verify-measure", SHARP, "--csv-out", str(cout)])
+    assert (code, out) == (2, "")
+    assert err.startswith("io error: ") and err.count("\n") == 1
+    assert not cout.exists()
+
+
 @pytest.mark.parametrize(
     "obj, named, mode",
     [

@@ -15,7 +15,7 @@ from blaschke_verify.dilation import (
     roundtrip_check,
     roundtrip_report,
 )
-from blaschke_verify.errors import DilationError, NotAContraction
+from blaschke_verify.errors import DilationError, InputError
 from blaschke_verify.measure import total_variation
 from blaschke_verify.operator_model import ContractionSystem
 from blaschke_verify.random_instances import complex_gaussian, random_contraction, spawn_rng
@@ -92,7 +92,7 @@ def test_dilate_takes_svds_of_n_square_matrices_only(monkeypatch):
 
 
 def test_dilate_rejects_expansion():
-    with pytest.raises(NotAContraction):
+    with pytest.raises(InputError, match=r"exceeds 1 \+ 1e-10"):
         dilate(np.array([[1.2 + 0j]]), 2)
 
 
@@ -143,18 +143,24 @@ def test_spectral_measure_mass_equals_pairing():
         assert want == pytest.approx(complex(np.vdot(s.psi, s.phi)), abs=1e-12)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=DilationError,
-    reason="ROADMAP item 12b: the total-variation guard is absolute, and its sum "
-    "rounds 2 ulps above ||phi|| ||psi|| = 2e300",
-)
 def test_spectral_measure_at_large_phi():
     # phi = psi = [1e150, 1e150]: the measure is valid, its total variation is
-    # ||phi|| ||psi|| in exact arithmetic
+    # ||phi|| ||psi|| in exact arithmetic and rounds 2 ulps above it
     phi = np.array([1e150, 1e150], dtype=complex)
     mu = extract_spectral_measure(dilate(np.diag([0.5, -0.5]).astype(complex), 1), phi, phi)
     assert mu.mass() == pytest.approx(2e300, rel=1e-12)
+
+
+@pytest.mark.parametrize("size", [1.0, 1e150])
+def test_total_variation_guard_is_relative(monkeypatch, size):
+    # with phi = psi the total variation equals ||phi|| ||psi||; a sum 1e-9
+    # above it exceeds the slack 1e-10 * max(1, scale) at every scale
+    monkeypatch.setattr(
+        "blaschke_verify.dilation.total_variation", lambda mu: (1 + 1e-9) * total_variation(mu)
+    )
+    phi = np.array([size, size], dtype=complex)
+    with pytest.raises(DilationError, match="total variation .* exceeds"):
+        extract_spectral_measure(dilate(np.diag([0.5, -0.5]).astype(complex), 1), phi, phi)
 
 
 def test_roundtrip_random():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from blaschke_verify.errors import NonFiniteValue, NotHermitian, NotPSD
+from blaschke_verify.errors import InputError
 from blaschke_verify.linalg import (
     NR_ANGLES,
     NR_BRACKET_TOL,
@@ -180,11 +180,11 @@ def test_psd_sqrt_squares_back():
 
 
 def test_psd_sqrt_rejects():
-    with pytest.raises(NotHermitian):
+    with pytest.raises(InputError, match=r"\|\|H - H\*\|\| = .* exceeds"):
         psd_sqrt(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
-    with pytest.raises(NotPSD):
+    with pytest.raises(InputError, match=r"eigenvalue .* below -"):
         psd_sqrt(np.array([[-1.0]], dtype=complex))
-    with pytest.raises(NonFiniteValue):
+    with pytest.raises(InputError, match="matrix entries must be finite"):
         psd_sqrt(np.array([[np.inf]], dtype=complex))
 
 

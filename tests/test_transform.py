@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import blaschke_verify
-from blaschke_verify.errors import OutsideDisk
+from blaschke_verify.errors import InputError
 from blaschke_verify.measure import AtomicMeasure, dirac
 from blaschke_verify.transform import (
     CauchyFunction,
@@ -77,9 +77,9 @@ def test_direct_mode_is_K():
 def test_eval_rejects_outside_disk():
     mu = dirac(1.0, 1.0)
     for bad in (1.0, 1.0 + 0j, np.exp(0.4j), 1.7 - 0.2j):
-        with pytest.raises(OutsideDisk):
+        with pytest.raises(InputError, match=r"evaluation point\(s\) with \|w\| >= 1"):
             eval_K(mu, bad)
-    with pytest.raises(OutsideDisk):
+    with pytest.raises(InputError, match=r"evaluation point\(s\) with \|w\| >= 1"):
         eval_K(mu, np.array([0.1, 0.99999, 1.0]))
 
 
