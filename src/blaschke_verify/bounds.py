@@ -155,12 +155,14 @@ def _pair_of(A, L):
     """(A, L, NumericalRangeSupport of A, Schur form of L, trace_norm(L - A))
     of the validated pair; raises InputError for unequal shapes.
 
-    One module slot holds the last pair checked as one immutable tuple
-    (key, support, schur, trace_norm), keyed by (shape, A.tobytes(),
-    L.tobytes()), so check_theorem3 and check_schur_chain of one pair share
-    the grid, every refined distance, one Schur form and one SVD.  Any other
-    pair, or the same arrays changed in place, replaces the tuple whole.  It
-    is read once, so threads can recompute a pair but never read a mixed one.
+    One module slot per process holds the last pair checked as one
+    immutable tuple (key, support, schur, trace_norm), keyed by (shape,
+    A.tobytes(), L.tobytes()), so check_theorem3 and check_schur_chain of
+    one pair, run in one process, share the grid, every refined distance,
+    one Schur form and one SVD.  A forked process starts with a copy of the
+    slot, and what it stores there the parent never sees.  Any other pair,
+    or the same arrays changed in place, replaces the tuple whole.  It is
+    read once, so threads can recompute a pair but never read a mixed one.
     """
     global _pair_slot
     A, L = as_square_matrix(A), as_square_matrix(L)

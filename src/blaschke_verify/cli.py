@@ -9,8 +9,9 @@ more memory than there is, and 141 means stdout or stderr was closed before
 the output was written, as for a process killed by SIGPIPE.
 
 Output is byte-identical for identical (seed, flags, input): instance k of a
-suite draws from its own generator keyed by (seed, k), and every instance runs
-on the calling thread.
+suite draws from its own generator keyed by (seed, k), so it does not depend
+on which process runs it (on Linux a forked helper runs the odd-indexed
+instances of random-suite).
 """
 
 from __future__ import annotations
@@ -283,19 +284,15 @@ def _suite_instance(which: str, args, index: int):
     raise InputError(f"unknown suite {which!r}")
 
 
-def _run_suite(suites, args):
-    """Reports of every selected suite, suite by suite, each in index order.
-
-    Instances run on the calling thread, index by index: every suite given
-    (callers keep _SUITES order) runs for index k before any runs for k + 1,
-    so thm3 and schur of one pair run back to back and share its
-    numerical-range grid.  An instance payload is kept only when that
-    instance failed (only then is it built); its replay dump goes to stderr
-    in report order.
-    """
-    runs = [[] for _ in suites]
-    for index in range(args.instances):
-        for which, out in zip(suites, runs):
+def _suite_rows(suites, args, indices) -> list:
+    """Per index, in order, one (report, payload) pair per suite, the payload
+    built only when that instance failed.  An error other than a
+    BlaschkeVerifyError ends the list in place of its index's pairs, so the
+    caller raises the first one in index order, as a serial run would."""
+    rows = []
+    for index in indices:
+        pairs = []
+        for which in suites:
             try:
                 report, build = _suite_instance(which, args, index)
             except BlaschkeVerifyError as exc:
@@ -308,9 +305,58 @@ def _run_suite(suites, args):
                     tol=0.0,
                     details={"error": msg},
                 )
+            except Exception as exc:  # MemoryError and the like, raised by _run_suite
+                rows.append(exc)
+                return rows
             report = _with_detail(report, suite=which, instance=index)
             failed = not all(row["pass"] for row in _rows([report]))
-            out.append((report, build() if failed else None))
+            pairs.append((report, build() if failed else None))
+        rows.append(pairs)
+    return rows
+
+
+def _run_suite(suites, args):
+    """Reports of every selected suite, suite by suite, each in index order.
+
+    On Linux one forked helper process runs the odd indices while the
+    calling process runs the even ones, and the halves merge by index; the
+    output does not depend on it.  Every suite given (callers keep _SUITES
+    order) runs for index k before any runs for k + 2 in the same process,
+    so thm3 and schur of one pair run back to back and share its
+    numerical-range grid.  An instance payload is kept only when that
+    instance failed (only then is it built); its replay dump goes to stderr
+    in report order.
+    """
+    n = args.instances
+    if sys.platform != "linux" or n < 2:
+        halves = [_suite_rows(suites, args, range(n))]
+    else:
+        # imported here, so that no other subcommand pays for them; fork, not
+        # spawn, because a fresh interpreter's imports cost about what the
+        # helper saves
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        for stream in (sys.stdout, sys.stderr):  # the helper flushes its copies at exit
+            stream.flush()
+        fork = multiprocessing.get_context("fork")
+        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as helper:
+            odd = helper.submit(_suite_rows, suites, args, range(1, n, 2))
+            even = _suite_rows(suites, args, range(0, n, 2))
+            try:
+                halves = [even, odd.result()]
+            except BrokenProcessPool:
+                raise BlaschkeVerifyError(
+                    "the suite helper process died before returning the odd-indexed instances"
+                ) from None
+    runs = [[] for _ in suites]
+    for index in range(n):
+        pairs = halves[index % len(halves)][index // len(halves)]
+        if isinstance(pairs, Exception):
+            raise pairs
+        for out, pair in zip(runs, pairs):
+            out.append(pair)
     reports = []
     for which, out in zip(suites, runs):
         for index, (report, inst) in enumerate(out):

@@ -5,7 +5,8 @@ whole family at once.  Input-validation failures (bad points, non-contractions,
 unnormalized measures) raise :class:`InputError`, whose message names the
 field or precondition; the CLI exits 2 on them.  Numerical failures (eigensolver
 stagnation, contours through zeros) raise a :class:`NumericalError` leaf, whose
-name the CLI prints after ``check failed:`` before exiting 1.
+name the CLI prints after ``check failed:`` before exiting 1; the CLI raises
+the base class itself when the random-suite helper process dies.
 """
 
 

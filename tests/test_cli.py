@@ -3,6 +3,7 @@
 import csv
 import json
 import math
+import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -325,18 +326,66 @@ def test_csv_rows_are_the_payload_rows(capsys, tmp_path):
     ]
 
 
-def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch):
-    builds = []
+def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch, tmp_path):
+    # counted in a file, so the builds of the helper process count too
+    log = tmp_path / "builds"
     init = NumericalRangeSupport.__init__
 
     def counted(self, A):
-        builds.append(1)
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
         init(self, A)
 
     monkeypatch.setattr(NumericalRangeSupport, "__init__", counted)
     code, out, _ = run(capsys, ["random-suite", "--which", "all", "--instances", "6"])
     assert code == 0
-    assert len(builds) == 6
+    pids = log.read_text().split()
+    assert len(pids) == 6
+    assert len(set(pids)) == (2 if sys.platform == "linux" else 1)
+
+
+def test_suite_helper_changes_no_byte_and_leaves_no_process(capsys, monkeypatch):
+    # an odd count, so the halves are unequal; every thm1, thm2, thm3 and
+    # schur instance fails, so the dumps come from both halves
+    failing = ["random-suite", "--which", "all", "--instances", "9", "--tol", "blaschke=-100",
+               "--tol", "schur=-1", "--tol", "realline=-1"]
+    split = run(capsys, failing)
+    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(sys, "platform", "serial")  # every index in this process
+    assert run(capsys, failing) == split
+    assert split[0] == 1 and len(split[2].splitlines()) == 36
+
+
+def _in_the_helper(then):
+    """A random_system that calls then() in any process but this one."""
+    draw, parent = cli.random_system, os.getpid()
+
+    def random_system(*args, **kwargs):
+        if os.getpid() != parent:
+            then()
+        return draw(*args, **kwargs)
+
+    return random_system
+
+
+def test_memory_error_in_the_helper_exits_two(capsys, monkeypatch):
+    def out_of_memory():
+        raise MemoryError("Unable to allocate 9.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "random_system", _in_the_helper(out_of_memory))
+    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
+    assert (code, out) == (2, "")
+    assert err == "input error: Unable to allocate 9.9 GiB for an array; lower the size flags\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_dead_suite_helper_exits_one_without_traceback(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "random_system", _in_the_helper(lambda: os._exit(1)))
+    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
+    assert (code, out) == (1, "")
+    assert err == ("check failed: BlaschkeVerifyError: the suite helper process died "
+                   "before returning the odd-indexed instances\n")
+    assert multiprocessing.active_children() == []
 
 
 def test_trace_checks_do_not_depend_on_the_shared_pair(capsys, monkeypatch):
@@ -486,22 +535,6 @@ def test_exit_two_on_undecodable_file(capsys, tmp_path, raw, named):
     assert code == 2
     assert out == ""
     assert err.startswith(f"input error: {p}: ") and named in err
-
-
-def test_exit_two_on_bad_point(capsys, tmp_path):
-    p = tmp_path / "off.json"
-    p.write_text(
-        json.dumps(
-            {
-                "atoms": [
-                    {"point": {"re": 0.5, "im": 0.0}, "weight": {"re": 1.0, "im": 0.0}}
-                ]
-            }
-        )
-    )
-    code, _, err = run(capsys, ["verify-measure", str(p)])
-    assert code == 2
-    assert "input error" in err
 
 
 def _atom(point: float, weight: float) -> dict:
@@ -879,6 +912,20 @@ def test_scipy_linalg_is_imported_on_the_first_schur_form():
     done = _fresh_interpreter(["-c", script])
     assert done.returncode == 0, done.stderr
     assert done.stdout == "False True\n"
+
+
+def test_commands_but_the_suite_do_not_import_the_helper_pool():
+    # so setup and every other subcommand skip the suite helper's imports
+    script = (
+        "import contextlib, io, sys\n"
+        "from blaschke_verify.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = main(['verify-measure', {SHARP!r}])\n"
+        "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    done = _fresh_interpreter(["-c", script])
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 False False\n"
 
 
 _MODULES = sorted(path.stem for path in pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")
