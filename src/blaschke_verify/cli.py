@@ -10,8 +10,9 @@ the output was written, as for a process killed by SIGPIPE.
 
 Output is byte-identical for identical (seed, flags, input): instance k of a
 suite draws from its own generator keyed by (seed, k), so it does not depend
-on which process runs it (on Linux a forked helper runs the odd-indexed
-instances of random-suite).
+on which process runs it (on Linux random-suite forks one helper process,
+which runs the odd-indexed instances and pickles its rows back through a
+pipe; if the helper dies or is killed, the run exits 1).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -318,38 +320,58 @@ def _suite_rows(suites, args, indices) -> list:
 def _run_suite(suites, args):
     """Reports of every selected suite, suite by suite, each in index order.
 
-    On Linux one forked helper process runs the odd indices while the
-    calling process runs the even ones, and the halves merge by index; the
-    output does not depend on it.  Every suite given (callers keep _SUITES
-    order) runs for index k before any runs for k + 2 in the same process,
-    so thm3 and schur of one pair run back to back and share its
-    numerical-range grid.  An instance payload is kept only when that
-    instance failed (only then is it built); its replay dump goes to stderr
-    in report order.
+    On Linux one helper process, forked with os.fork, runs the odd indices
+    while the calling process runs the even ones, and the halves merge by
+    index; the output does not depend on it.  The helper pickles its rows
+    into a pipe and leaves through os._exit, with status 0 only once the
+    whole pickle is written, so it never returns into main or flushes the
+    stdio buffers it inherited.  The caller reads the pipe to its end and
+    reaps the helper; a nonzero status or a signal raises
+    BlaschkeVerifyError.  An exception out of the caller's half, an
+    interrupt included, kills and reaps the helper before it propagates.
+
+    Every suite given (callers keep _SUITES order) runs for index k before
+    any runs for k + 2 in the same process, so thm3 and schur of one pair
+    run back to back and share its numerical-range grid.  An instance
+    payload is kept only when that instance failed (only then is it built);
+    its replay dump goes to stderr in report order.
     """
     n = args.instances
     if sys.platform != "linux" or n < 2:
         halves = [_suite_rows(suites, args, range(n))]
     else:
-        # imported here, so that no other subcommand pays for them; fork, not
-        # spawn, because a fresh interpreter's imports cost about what the
-        # helper saves
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
+        # fork, not spawn, because a fresh interpreter's imports cost about
+        # what the helper saves; signal is imported here, so that no other
+        # subcommand pays for it
+        import signal
 
-        for stream in (sys.stdout, sys.stderr):  # the helper flushes its copies at exit
+        for stream in (sys.stdout, sys.stderr):  # nothing buffered is copied into the helper
             stream.flush()
-        fork = multiprocessing.get_context("fork")
-        with ProcessPoolExecutor(max_workers=1, mp_context=fork) as helper:
-            odd = helper.submit(_suite_rows, suites, args, range(1, n, 2))
-            even = _suite_rows(suites, args, range(0, n, 2))
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the helper: it leaves only through os._exit, 0 once all is written
+            status = 1
             try:
-                halves = [even, odd.result()]
-            except BrokenProcessPool:
-                raise BlaschkeVerifyError(
-                    "the suite helper process died before returning the odd-indexed instances"
-                ) from None
+                os.close(read_end)  # so a write fails, not blocks, once the caller is gone
+                with open(write_end, "wb") as pipe:
+                    pickle.dump(_suite_rows(suites, args, range(1, n, 2)), pipe)
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        with open(read_end, "rb") as pipe:
+            try:
+                even = _suite_rows(suites, args, range(0, n, 2))
+                odd = pipe.read()
+            except BaseException:  # an interrupt, say: end the helper rather than wait for it
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                raise
+        if os.waitpid(pid, 0)[1] != 0:  # a nonzero exit or a signal
+            raise BlaschkeVerifyError(
+                "the suite helper process died before returning the odd-indexed instances"
+            )
+        halves = [even, pickle.loads(odd)]
     runs = [[] for _ in suites]
     for index in range(n):
         pairs = halves[index % len(halves)][index // len(halves)]

@@ -3,11 +3,13 @@
 import csv
 import json
 import math
-import multiprocessing
 import os
 import pathlib
+import signal
 import subprocess
 import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -344,25 +346,31 @@ def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch, tmp_path):
     assert len(set(pids)) == (2 if sys.platform == "linux" else 1)
 
 
+def _assert_no_child():
+    # waitpid sees every child, a bare fork included, which
+    # multiprocessing.active_children does not
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_suite_helper_changes_no_byte_and_leaves_no_process(capsys, monkeypatch):
     # an odd count, so the halves are unequal; every thm1, thm2, thm3 and
     # schur instance fails, so the dumps come from both halves
     failing = ["random-suite", "--which", "all", "--instances", "9", "--tol", "blaschke=-100",
                "--tol", "schur=-1", "--tol", "realline=-1"]
     split = run(capsys, failing)
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
     monkeypatch.setattr(sys, "platform", "serial")  # every index in this process
     assert run(capsys, failing) == split
     assert split[0] == 1 and len(split[2].splitlines()) == 36
 
 
-def _in_the_helper(then):
-    """A random_system that calls then() in any process but this one."""
+def _by_process(helper, here=lambda: None):
+    """A random_system that calls here() in this process and helper() in any other."""
     draw, parent = cli.random_system, os.getpid()
 
     def random_system(*args, **kwargs):
-        if os.getpid() != parent:
-            then()
+        (here if os.getpid() == parent else helper)()
         return draw(*args, **kwargs)
 
     return random_system
@@ -372,20 +380,56 @@ def test_memory_error_in_the_helper_exits_two(capsys, monkeypatch):
     def out_of_memory():
         raise MemoryError("Unable to allocate 9.9 GiB for an array")
 
-    monkeypatch.setattr(cli, "random_system", _in_the_helper(out_of_memory))
+    monkeypatch.setattr(cli, "random_system", _by_process(out_of_memory))
     code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
     assert (code, out) == (2, "")
     assert err == "input error: Unable to allocate 9.9 GiB for an array; lower the size flags\n"
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
 
 
-def test_dead_suite_helper_exits_one_without_traceback(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "random_system", _in_the_helper(lambda: os._exit(1)))
+@pytest.mark.parametrize("death", [lambda: os._exit(1),
+                                   lambda: os.kill(os.getpid(), signal.SIGKILL)],
+                         ids=["exit", "sigkill"])
+def test_dead_suite_helper_exits_one_without_traceback(capsys, monkeypatch, death):
+    # sigkill: as when the kernel's out-of-memory killer ends the helper
+    monkeypatch.setattr(cli, "random_system", _by_process(death))
     code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "2"])
     assert (code, out) == (1, "")
     assert err == ("check failed: BlaschkeVerifyError: the suite helper process died "
                    "before returning the odd-indexed instances\n")
-    assert multiprocessing.active_children() == []
+    _assert_no_child()
+
+
+def test_interrupted_suite_kills_the_helper_at_once(monkeypatch, tmp_path):
+    # the helper logs each of its 1,000 instances, at least 1 ms apart; the
+    # caller is interrupted at its first, and must not wait for the helper's half
+    log = tmp_path / "helper"
+    log.touch()
+
+    def logged():
+        with open(log, "a") as fh:
+            fh.write("instance\n")
+        time.sleep(0.001)
+
+    def interrupt():
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "random_system", _by_process(logged, interrupt))
+    with pytest.raises(KeyboardInterrupt):
+        main(["random-suite", "--which", "thm1", "--instances", "2000"])
+    _assert_no_child()
+    assert len(log.read_text().splitlines()) < 500
+
+
+def test_the_suite_forks_from_one_thread(capsys, monkeypatch):
+    # no thread of the package runs beside the caller's half
+    counts = []
+    monkeypatch.setattr(cli, "random_system",
+                        _by_process(lambda: None, lambda: counts.append(threading.active_count())))
+    code, _, _ = run(capsys, ["random-suite", "--which", "thm1", "--instances", "6"])
+    assert code == 0 and counts == [1, 1, 1]
+    assert threading.active_count() == 1
+    _assert_no_child()
 
 
 def test_trace_checks_do_not_depend_on_the_shared_pair(capsys, monkeypatch):
@@ -914,18 +958,20 @@ def test_scipy_linalg_is_imported_on_the_first_schur_form():
     assert done.stdout == "False True\n"
 
 
-def test_commands_but_the_suite_do_not_import_the_helper_pool():
-    # so setup and every other subcommand skip the suite helper's imports
+def test_no_command_imports_a_process_pool():
+    # the suite helper is a bare fork, so no run loads multiprocessing or
+    # the executor's pool
     script = (
         "import contextlib, io, sys\n"
         "from blaschke_verify.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = main(['verify-measure', {SHARP!r}])\n"
-        "print(code, 'multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
+        f"    codes = [main(['verify-measure', {SHARP!r}]),\n"
+        "             main(['random-suite', '--which', 'all', '--instances', '4'])]\n"
+        "print(codes, 'multiprocessing' in sys.modules, 'concurrent.futures.process' in sys.modules)\n"
     )
     done = _fresh_interpreter(["-c", script])
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 False False\n"
+    assert done.stdout == "[0, 0] False False\n"
 
 
 _MODULES = sorted(path.stem for path in pathlib.Path(blaschke_verify.__file__).parent.glob("*.py")
