@@ -1,12 +1,13 @@
 """Command line front end.
 
 Subcommands load measure or system JSON, run single checks or seeded random
-suites, and emit a JSON payload on stdout (reports plus a summary); stderr
-carries diagnostics and replay dumps of failed instances.  Exit code 0 means
-every check passed, 1 means a check failed or a numerical procedure gave up,
-2 means the input could not be parsed, violated a precondition or asked for
-more memory than there is, and 141 means stdout or stderr was closed before
-the output was written, as for a process killed by SIGPIPE.
+suites, and emit a JSON payload on stdout (reports plus a summary, written in
+batches as it is encoded); stderr carries diagnostics and replay dumps of
+failed instances.  Exit code 0 means every check passed, 1 means a check
+failed or a numerical procedure gave up, 2 means the input could not be
+parsed, violated a precondition or asked for more memory than there is, and
+141 means stdout or stderr was closed before the output was written, as for a
+process killed by SIGPIPE.
 
 Output is byte-identical for identical (seed, flags, input): instance k of a
 suite draws from its own generator keyed by (seed, k), so it does not depend
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import itertools
 import json
 import math
 import os
@@ -149,7 +151,6 @@ def _rows(reports) -> list:
 def _emit(args, command: str, reports) -> int:
     rows = _rows(reports)
     payload = {"command": command, "reports": rows, "summary": summarize(rows)}
-    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
     if getattr(args, "csv_out", None):  # first, so an unwritable path prints nothing
         with open(args.csv_out, "w") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -157,7 +158,11 @@ def _emit(args, command: str, reports) -> int:
             for r in rows:
                 writer.writerow([r["name"], *(repr(r[k]) for k in ("lhs", "rhs", "slack", "tol")),
                                  r["pass"], json.dumps(r["details"], sort_keys=True)])
-    print(text)
+    # 4,096 chunks (some 36 kB) per write: few writes even unbuffered, never all chunks held
+    chunks = iter(json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False).iterencode(payload))
+    for chunk in chunks:
+        sys.stdout.write(chunk + "".join(itertools.islice(chunks, 4095)))
+    sys.stdout.write("\n")
     sys.stdout.flush()  # a closed stdout raises here, inside main's try
     return 0 if all(r["pass"] for r in rows) else 1
 
@@ -328,7 +333,10 @@ def _run_suite(suites, args):
     stdio buffers it inherited.  The caller reads the pipe to its end and
     reaps the helper; a nonzero status or a signal raises
     BlaschkeVerifyError.  An exception out of the caller's half, an
-    interrupt included, kills and reaps the helper before it propagates.
+    interrupt included, kills and reaps the helper before it propagates,
+    and so does an error that ends the caller's half at index 0; an error
+    at a later even index waits for the odd half, which may have failed
+    at a lower index.
 
     Every suite given (callers keep _SUITES order) runs for index k before
     any runs for k + 2 in the same process, so thm3 and schur of one pair
@@ -362,6 +370,8 @@ def _run_suite(suites, args):
         with open(read_end, "rb") as pipe:
             try:
                 even = _suite_rows(suites, args, range(0, n, 2))
+                if isinstance(even[0], Exception):  # no odd index comes before index 0
+                    raise even[0]
                 odd = pipe.read()
             except BaseException:  # an interrupt, say: end the helper rather than wait for it
                 os.kill(pid, signal.SIGKILL)

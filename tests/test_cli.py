@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: schemas, exit codes, determinism."""
 
+import contextlib
 import csv
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -41,13 +43,17 @@ def run(capsys, argv):
     return code, out.out, out.err
 
 
+def _fresh_env(**env):
+    """This environment with env added and this package first on the path."""
+    src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
+    return dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
+
 def _fresh_interpreter(args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, **env):
     """Run python with args from the repository root, this package first on the path."""
-    src = str(pathlib.Path(blaschke_verify.__file__).resolve().parents[1])
-    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run(
-        [sys.executable, *args], stdout=stdout, stderr=stderr, text=True, env=env,
+        [sys.executable, *args], stdout=stdout, stderr=stderr, text=True, env=_fresh_env(**env),
         cwd=pathlib.Path(__file__).resolve().parents[1], timeout=120,
     )
 
@@ -328,6 +334,36 @@ def test_csv_rows_are_the_payload_rows(capsys, tmp_path):
     ]
 
 
+def test_the_payload_is_written_in_few_bounded_batches(capsys, monkeypatch, tmp_path):
+    # json.dumps held every chunk of the payload at once, some seven times
+    # its length; the emitter writes batches of chunks as it encodes them
+    calls = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda *call: calls.append(call) or 0)
+    assert main(["random-suite", "--which", "all", "--instances", "100"]) == 0
+    writes = []
+
+    class CountedWrites:  # stdout on a file, so the written text holds no traced memory
+        def write(self, text):
+            writes.append(len(text))
+            return fh.write(text)
+
+        def flush(self):
+            fh.flush()
+
+    with open(tmp_path / "out", "w") as fh, contextlib.redirect_stdout(CountedWrites()):
+        tracemalloc.start()
+        try:
+            assert emit(*calls[0]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    out = (tmp_path / "out").read_text()
+    assert peak < 2 * len(out)
+    assert len(writes) < 50 and max(writes) < 64 * 1024
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
 def test_random_suite_builds_one_grid_per_pair(capsys, monkeypatch, tmp_path):
     # counted in a file, so the builds of the helper process count too
     log = tmp_path / "builds"
@@ -400,10 +436,8 @@ def test_dead_suite_helper_exits_one_without_traceback(capsys, monkeypatch, deat
     _assert_no_child()
 
 
-def test_interrupted_suite_kills_the_helper_at_once(monkeypatch, tmp_path):
-    # the helper logs each of its 1,000 instances, at least 1 ms apart; the
-    # caller is interrupted at its first, and must not wait for the helper's half
-    log = tmp_path / "helper"
+def _logging_to(log):
+    """A function that appends one line to the file log, then sleeps 1 ms."""
     log.touch()
 
     def logged():
@@ -411,14 +445,57 @@ def test_interrupted_suite_kills_the_helper_at_once(monkeypatch, tmp_path):
             fh.write("instance\n")
         time.sleep(0.001)
 
+    return logged
+
+
+def test_interrupted_suite_kills_the_helper_at_once(monkeypatch, tmp_path):
+    # the helper logs each of its 1,000 instances, at least 1 ms apart; the
+    # caller is interrupted at its first, and must not wait for the helper's half
+    log = tmp_path / "helper"
+
     def interrupt():
         raise KeyboardInterrupt
 
-    monkeypatch.setattr(cli, "random_system", _by_process(logged, interrupt))
+    monkeypatch.setattr(cli, "random_system", _by_process(_logging_to(log), interrupt))
     with pytest.raises(KeyboardInterrupt):
         main(["random-suite", "--which", "thm1", "--instances", "2000"])
     _assert_no_child()
     assert len(log.read_text().splitlines()) < 500
+
+
+def test_error_at_the_first_index_kills_the_helper_at_once(capsys, monkeypatch, tmp_path):
+    # no odd index comes before index 0, so the caller's error there must not
+    # wait for the helper's 2,000 instances, each logged and at least 1 ms apart
+    log = tmp_path / "helper"
+
+    def out_of_memory():
+        raise MemoryError("Unable to allocate 9.9 GiB for an array")
+
+    monkeypatch.setattr(cli, "random_system", _by_process(_logging_to(log), out_of_memory))
+    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "4000"])
+    assert (code, out) == (2, "")
+    assert err == "input error: Unable to allocate 9.9 GiB for an array; lower the size flags\n"
+    _assert_no_child()
+    assert len(log.read_text().splitlines()) < 500
+
+
+def test_an_error_in_the_helper_comes_before_a_later_one_in_the_caller(capsys, monkeypatch):
+    # the caller fails at index 2, the helper at index 1: index 1's error is
+    # raised, as a serial run would raise it
+    draws = []
+
+    def second_draw_fails():
+        draws.append(None)
+        if len(draws) == 2:
+            raise MemoryError("at index 2")
+
+    def out_of_memory():
+        raise MemoryError("at index 1")
+
+    monkeypatch.setattr(cli, "random_system", _by_process(out_of_memory, second_draw_fails))
+    code, out, err = run(capsys, ["random-suite", "--which", "thm1", "--instances", "4"])
+    assert (code, out, err) == (2, "", "input error: at index 1; lower the size flags\n")
+    _assert_no_child()
 
 
 def test_the_suite_forks_from_one_thread(capsys, monkeypatch):
@@ -554,6 +631,21 @@ def test_closed_pipe_exits_as_on_sigpipe(closed, argv):
         os.close(write)
     assert done.returncode == 141
     assert (done.stderr if closed == "stdout" else done.stdout) == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_reader_that_leaves_mid_payload_exits_as_on_sigpipe(unbuffered):
+    # some 260 kB, several pipe buffers: the reader takes 4 KiB and goes, so a
+    # later write of the payload meets the closed pipe
+    argv = ["-m", "blaschke_verify.cli", "random-suite", "--which", "all", "--instances", "50"]
+    env = _fresh_env(PYTHONUNBUFFERED=unbuffered)
+    with subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(4096)) == 4096
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 141
+    assert err == b""
 
 
 def test_exit_two_on_bad_json(capsys, tmp_path):
@@ -877,18 +969,20 @@ def _numpy_scalars(obj, path="$"):
 )
 def test_payloads_hold_no_numpy_scalar_but_float64(capsys, monkeypatch, tmp_path, argv):
     # json writes np.float64 as float's repr, so it needs no conversion; any
-    # other numpy scalar would make json.dumps raise
-    seen = []
-    dumps = json.dumps
+    # other numpy scalar makes the encoder raise, and the payload's only after
+    # part of it is written, so every object is walked before it is encoded
+    walked = []
+    iterencode = json.JSONEncoder.iterencode
 
-    def walking_dumps(obj, *args, **kwargs):
-        seen.extend(_numpy_scalars(obj))
-        return dumps(obj, *args, **kwargs)
+    def walking_iterencode(self, obj, *args, **kwargs):
+        assert _numpy_scalars(obj) == []
+        walked.append(obj)
+        return iterencode(self, obj, *args, **kwargs)
 
-    monkeypatch.setattr(json, "dumps", walking_dumps)
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", walking_iterencode)
     code, out, _ = run(capsys, [*argv, "--csv-out", str(tmp_path / "out.csv")])
     assert code in (0, 1) and out
-    assert seen == []
+    assert [obj["command"] for obj in walked if "summary" in obj] == [argv[0]]  # the payload
 
 
 def test_failed_instance_dumped_to_stderr(capsys):
